@@ -232,54 +232,44 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeStage measures the merge/commit stage across
-// -merge-workers settings. workers=1 is the plain sequential loop;
-// workers=2+ adds speculative alignment workers that warm the shared
-// alignment cache while the committer replays the sequential algorithm
-// (the determinism tests in internal/core assert the Report is
-// byte-identical across all settings, and the `merges` metric makes
-// that visible here). The pooled DP buffers in internal/align are what
-// keep allocs/op flat as worker count grows; `cache-hit-rate` is
-// committer hits over committer lookups, so it shows how much aligned
-// work speculation managed to run ahead of the commit loop. Wall-clock
-// gains require GOMAXPROCS > 1 — on a single CPU the workers only add
-// scheduling overhead. scripts/bench.sh records these numbers in
-// BENCH_merge.json to track the trajectory across PRs.
+// BenchmarkMergeStage measures a whole F3M pass — preprocessing, the
+// LSH build and the sequential rank/align/codegen/commit loop — on an
+// 800-function clone-rich module. `cache-hit-rate` is the fraction of
+// alignment lookups the pass answered from its own cache (pairs it
+// re-aligns after earlier attempts); `merges` pins the outcome, so a
+// change that moves ns/op by merging differently shows up next to the
+// time. scripts/bench.sh records these numbers in BENCH_merge.json and
+// gates allocs/op against BENCH_budget.json.
 func BenchmarkMergeStage(b *testing.B) {
 	spec := irgen.SuiteSpec{Name: "mergebench", Funcs: 800, AvgInstrs: 22, CloneFraction: 0.45}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			var hits, lookups int64
-			merges := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := irgen.Generate(spec.Config(3)).Module
-				cfg := core.DefaultConfig(core.F3MStatic)
-				cfg.MergeWorkers = w
-				cache := align.NewCache(0)
-				cfg.MergeOpts.AlignCache = cache
-				// Collect generator garbage outside the timed window so
-				// ns/op reflects the merge stage, not irgen's leftovers.
-				runtime.GC()
-				b.StartTimer()
-				rep, err := core.Run(m, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				st := cache.Stats()
-				hits += st.Hits
-				lookups += st.Hits + st.Misses
-				merges = rep.Merges
-				b.StartTimer()
-			}
-			if lookups > 0 {
-				b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-rate")
-			}
-			b.ReportMetric(float64(merges), "merges")
-		})
+	b.ReportAllocs()
+	var hits, lookups int64
+	merges := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := irgen.Generate(spec.Config(3)).Module
+		cfg := core.DefaultConfig(core.F3MStatic)
+		cache := align.NewCache(0)
+		cfg.MergeOpts.AlignCache = cache
+		// Collect generator garbage outside the timed window so ns/op
+		// reflects the merge stage, not irgen's leftovers.
+		runtime.GC()
+		b.StartTimer()
+		rep, err := core.Run(m, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		st := cache.Stats()
+		hits += st.Hits
+		lookups += st.Hits + st.Misses
+		merges = rep.Merges
+		b.StartTimer()
 	}
+	if lookups > 0 {
+		b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-rate")
+	}
+	b.ReportMetric(float64(merges), "merges")
 }
 
 // BenchmarkAlignStrategies compares the sequence pipeline against the

@@ -30,7 +30,6 @@
 //	-threshold T                   similarity threshold (-1 = strategy default)
 //	-k K                           MinHash fingerprint size (0 = default)
 //	-workers N                     preprocess/rank parallelism (0 = GOMAXPROCS, 1 = sequential)
-//	-merge-workers N               speculative merge-stage workers (0/1 = sequential merge loop)
 //	-check off|fast|strict|validate  static-analysis level (fast = audit each merge; strict = full module checks; validate = strict + per-merge translation validation)
 //	-emit                          print the optimized module to stdout
 //	-v                             per-pair merge log
@@ -83,7 +82,6 @@ func run(args []string, stdout io.Writer) error {
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = strategy default)")
 	k := fs.Int("k", 0, "MinHash fingerprint size (0 = default)")
 	workers := fs.Int("workers", 0, "preprocess/rank parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	mergeWorkers := fs.Int("merge-workers", 1, "speculative merge-stage workers (0/1 = sequential merge loop)")
 	check := fs.String("check", "off", "static-analysis level: off, fast (audit each merge), strict (full module checks) or validate (strict plus per-merge translation validation)")
 	emit := fs.Bool("emit", false, "print the optimized module")
 	verbose := fs.Bool("v", false, "log every selected pair")
@@ -109,7 +107,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Threshold = *threshold
 	cfg.K = *k
 	cfg.Workers = *workers
-	cfg.MergeWorkers = *mergeWorkers
 	cfg.Check, err = core.ParseCheckMode(*check)
 	if err != nil {
 		return err

@@ -175,7 +175,7 @@ func TestCheckValidateGolden(t *testing.T) {
 // TestMergeWatGolden pins the full wat path end to end: the
 // two-revision scanner corpus lowers, links, merges at least one pair
 // under full translation validation, and renders a byte-identical
-// report at every workers / merge-workers setting.
+// report at every workers setting.
 func TestMergeWatGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "merge_wat.golden"))
 	if err != nil {
@@ -190,7 +190,7 @@ func TestMergeWatGolden(t *testing.T) {
 	}
 	for _, w := range []string{"1", "2", "8"} {
 		var buf strings.Builder
-		args := append([]string{"-check=validate", "-workers", w, "-merge-workers", w}, corpus...)
+		args := append([]string{"-check=validate", "-workers", w}, corpus...)
 		if err := run(args, &buf); err != nil {
 			t.Fatalf("workers=%s: %v\noutput:\n%s", w, err, buf.String())
 		}

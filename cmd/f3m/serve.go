@@ -30,7 +30,6 @@ func runServe(args []string, stdout io.Writer) error {
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = strategy default)")
 	k := fs.Int("k", 0, "MinHash fingerprint size (0 = default)")
 	workers := fs.Int("workers", 0, "preprocess/rank parallelism per merge (0 = GOMAXPROCS)")
-	mergeWorkers := fs.Int("merge-workers", 1, "speculative merge-stage workers (0/1 = sequential)")
 	check := fs.String("check", "off", "static-analysis level: off, fast, strict or validate")
 	snapshot := fs.String("snapshot", "", "default snapshot file for the snapshot/restore endpoints")
 	restore := fs.Bool("restore", false, "restore state from the -snapshot file before listening")
@@ -66,7 +65,6 @@ func runServe(args []string, stdout io.Writer) error {
 	cfg.Threshold = *threshold
 	cfg.K = *k
 	cfg.Workers = *workers
-	cfg.MergeWorkers = *mergeWorkers
 	cfg.Check = checkMode
 	cfg.SnapshotPath = *snapshot
 	cfg.Metrics = obs.NewMetrics()

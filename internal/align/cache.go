@@ -9,7 +9,7 @@ import (
 
 // Cache memoizes Needleman–Wunsch alignments across the merge stage,
 // so a sequence pair is aligned at most once per run no matter how
-// often ranking (or speculation) revisits it.
+// often ranking revisits it.
 //
 // Correctness is unconditional, not probabilistic. Sequences are
 // interned (collision-checked by full comparison, see

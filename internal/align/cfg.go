@@ -23,9 +23,9 @@ import (
 //
 // Both the block-fingerprint alignment and the body verifications are
 // routed through cch (nil disables caching). Because the canonical
-// sequences are layout-independent, the cache keys are too: a
-// speculative worker warming a permuted clone pair produces exactly the
-// entries the committer's attempt will ask for (see WarmPairCFG).
+// sequences are layout-independent, the cache keys are too: a permuted
+// clone pair hits the entries an earlier attempt on the same bodies in
+// another layout stored.
 func MatchBlocksCFG(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs []BlockPair, unA, unB []*ir.Block, moves int) {
 	o1 := Canonicalize(f1, nil)
 	o2 := Canonicalize(f2, nil)

@@ -14,10 +14,9 @@
 // correspondence checks exactly. Any divergence yields a deterministic
 // `tv` error diagnostic locating the first mismatching instruction.
 //
-// Everything runs on the committer goroutine against detached scratch
-// modules, so speculative pipeline workers never observe validation
-// state; only type-context interning is shared, and the pipeline
-// pre-warms the types validation needs.
+// Everything runs on the pipeline's sequential commit loop against
+// detached scratch modules that share only the type context, so the
+// real module never observes validation state.
 package tv
 
 import (

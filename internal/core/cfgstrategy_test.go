@@ -136,7 +136,7 @@ func TestCFGStrategyValidateFloor(t *testing.T) {
 }
 
 // TestCFGStrategyDeterminism pins byte-identical merge decisions for
-// f3m-cfg across worker counts, including the speculative merge path.
+// f3m-cfg across worker counts.
 func TestCFGStrategyDeterminism(t *testing.T) {
 	gcfg := permutedTwinCfg(7)
 	gcfg.Families = 10
@@ -144,29 +144,28 @@ func TestCFGStrategyDeterminism(t *testing.T) {
 	gcfg.Singletons = 8
 	gcfg.Callers = 4
 
-	run := func(workers, mergeWorkers int) *Report {
+	run := func(workers int) *Report {
 		t.Helper()
 		m := irgen.Generate(gcfg).Module
 		cfg := DefaultConfig(F3MCFG)
 		cfg.Threshold = 0.8
 		cfg.Workers = workers
-		cfg.MergeWorkers = mergeWorkers
 		rep, err := Run(m, cfg)
 		if err != nil {
-			t.Fatalf("workers=%d merge-workers=%d: %v", workers, mergeWorkers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("workers=%d merge-workers=%d: invalid module: %v", workers, mergeWorkers, err)
+			t.Fatalf("workers=%d: invalid module: %v", workers, err)
 		}
 		return rep
 	}
 
-	ref := run(1, 1)
+	ref := run(1)
 	if ref.Merges == 0 {
 		t.Fatal("fixture merged nothing; determinism check is vacuous")
 	}
 	for _, w := range []int{2, 8} {
-		rep := run(w, w)
+		rep := run(w)
 		checkSameDecisions(t, fmt.Sprintf("f3m-cfg w=%d", w), ref, rep)
 	}
 }

@@ -79,7 +79,7 @@ func TestStrictCheckCleanAndDeterministic(t *testing.T) {
 
 // TestValidateCheckCleanAndDeterministic extends the determinism
 // property test to the translation validator: random irgen modules run
-// -check=validate at Workers/MergeWorkers 1, 2 and 8, every committed
+// -check=validate at Workers 1, 2 and 8, every committed
 // merge must validate clean, and the rendered diagnostic stream plus
 // merge/attempt counts must be identical at every parallelism setting.
 func TestValidateCheckCleanAndDeterministic(t *testing.T) {
@@ -97,7 +97,6 @@ func TestValidateCheckCleanAndDeterministic(t *testing.T) {
 
 				cfg := DefaultConfig(strat)
 				cfg.Workers = workers
-				cfg.MergeWorkers = workers
 				cfg.Check = CheckValidate
 				rep, err := Run(m, cfg)
 				if err != nil {

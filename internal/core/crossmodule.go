@@ -27,16 +27,10 @@ package core
 // that never planned the bad pair.
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"f3m/internal/align"
 	"f3m/internal/analysis"
 	"f3m/internal/analysis/summary"
 	"f3m/internal/ir"
-	"f3m/internal/passes"
 )
 
 // SummaryReport extends the standard Report with the cross-module
@@ -83,7 +77,7 @@ func planKey(p summary.PlanPair) string { return p.A.Name + "\x00" + p.B.Name }
 // forced to at least CheckValidate: optimism without the validator
 // would let a colliding summary miscompile.
 //
-// The report is identical for every Workers/MergeWorkers setting, and
+// The report is identical for every Workers setting, and
 // — because planning runs over the name-sorted global function list —
 // for every partitioning of the same program into modules.
 func RunSummaryMerge(name string, mods []*ir.Module, ix *summary.Index, cfg Config) (*SummaryReport, *ir.Module, error) {
@@ -170,21 +164,6 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 	run.SetAttr("pairs", len(plan.Pairs))
 	defer run.End()
 
-	start := time.Now()
-	// Types must be interned in one deterministic sweep before any
-	// parallel cloning (the warm pool below) touches the shared
-	// context; see prewarmTypes. It runs for every MergeWorkers
-	// setting so type-ID assignment never depends on the worker count.
-	prewarmTypes(m, candidates(m))
-	mergeWorkers := cfg.MergeWorkers
-	if spare := runtime.GOMAXPROCS(0) - 1; mergeWorkers-1 > spare {
-		mergeWorkers = spare + 1
-	}
-	if mergeWorkers > 1 {
-		warmPlanPairs(m, plan, skip, cfg.MergeOpts.AlignCache, cfg.MergeOpts.MinBlockRatio, mergeWorkers-1)
-	}
-	rep.Times.Preprocess = time.Since(start)
-
 	loop := run.Child("merge-loop")
 	defer loop.End()
 	for _, pr := range plan.Pairs {
@@ -206,7 +185,7 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 			continue
 		}
 		before := len(eng.All)
-		ok, _, err := attemptMerge(m, fa, fb, cfg, rep, eng, 0, pr.Similarity, loop, nil)
+		ok, err := attemptMerge(m, fa, fb, cfg, rep, eng, 0, pr.Similarity, loop)
 		if err != nil {
 			return nil, stats, "", err
 		}
@@ -239,62 +218,4 @@ func hasNewError(eng *analysis.Engine, from int) bool {
 		}
 	}
 	return false
-}
-
-// warmPlanPairs pre-aligns the plan's surviving pairs into the shared
-// alignment cache with a worker pool, so the sequential committer's
-// DPs become cache hits. Unlike the in-process speculative engine this
-// runs entirely before the merge loop — the plan already names every
-// pair, so there is nothing to predict — and therefore needs no
-// locking against commits: the module is read-only throughout. Warming
-// is outcome-neutral (the cache is exact and validated on every hit),
-// so the Report is byte-identical whether or not this ran.
-func warmPlanPairs(m *ir.Module, plan *summary.Plan, skip map[string]bool, cache *align.Cache, minRatio float64, workers int) {
-	if cache == nil {
-		return
-	}
-	type warmPair struct{ a, b *ir.Function }
-	var pairs []warmPair
-	for _, pr := range plan.Pairs {
-		if skip[planKey(pr)] {
-			continue
-		}
-		fa, fb := m.Func(pr.A.Name), m.Func(pr.B.Name)
-		if fa == nil || fb == nil || fa.IsDecl() || fb.IsDecl() {
-			continue
-		}
-		pairs = append(pairs, warmPair{fa, fb})
-	}
-	if len(pairs) == 0 {
-		return
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := ir.NewModuleInCtx("summary.warm", m.Ctx)
-			arena := ir.NewCloneArena()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				ca := arena.CloneFunc(scratch, pairs[i].a, scratch.UniqueFuncName("warm.a"))
-				cb := arena.CloneFunc(scratch, pairs[i].b, scratch.UniqueFuncName("warm.b"))
-				passes.RegToMemIn(ca, arena)
-				passes.RegToMemIn(cb, arena)
-				align.WarmPair(cache, ca, cb, minRatio)
-				scratch.RemoveFunc(cb)
-				arena.Recycle(cb)
-				scratch.RemoveFunc(ca)
-				arena.Recycle(ca)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -42,29 +42,27 @@ func summaryReportKey(t *testing.T, sr *SummaryReport) string {
 		reportKey(t, sr.Report))
 }
 
-func runSummaryMerge(t *testing.T, m *ir.Module, n, workers, mergeWorkers int) (*SummaryReport, *ir.Module) {
+func runSummaryMerge(t *testing.T, m *ir.Module, n, workers int) (*SummaryReport, *ir.Module) {
 	t.Helper()
 	parts, ix := splitAndIndex(t, m, n)
 	cfg := DefaultConfig(F3MStatic)
 	cfg.Workers = workers
-	cfg.MergeWorkers = mergeWorkers
 	cfg.Metrics = obs.NewMetrics()
 	sr, linked, err := RunSummaryMerge("linked", parts, ix, cfg)
 	if err != nil {
-		t.Fatalf("split=%d w=%d mw=%d: %v", n, workers, mergeWorkers, err)
+		t.Fatalf("split=%d w=%d: %v", n, workers, err)
 	}
 	if err := ir.VerifyModule(linked); err != nil {
-		t.Fatalf("split=%d w=%d mw=%d: merged module invalid: %v", n, workers, mergeWorkers, err)
+		t.Fatalf("split=%d w=%d: merged module invalid: %v", n, workers, err)
 	}
 	return sr, linked
 }
 
 // TestSummaryMergeDeterminism is the cross-module determinism
 // contract: the same program partitioned into 2, 4 or 8 separately
-// parsed modules, merged at any Workers/MergeWorkers setting, produces
+// parsed modules, merged at any Workers setting, produces
 // the identical report — pair log, counters, accounting, diagnostics.
 func TestSummaryMergeDeterminism(t *testing.T) {
-	withParallelism(t, 8)
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
 
 	var baseKey string
@@ -72,7 +70,7 @@ func TestSummaryMergeDeterminism(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		crossBase := -1
 		for _, w := range []int{1, 2, 8} {
-			sr, linked := runSummaryMerge(t, m, n, w, w)
+			sr, linked := runSummaryMerge(t, m, n, w)
 			if sr.Misspeculated != 0 || sr.Replays != 0 {
 				t.Fatalf("split=%d w=%d: misspeculation on clean inputs: %+v", n, w, sr)
 			}
@@ -177,7 +175,7 @@ func TestSummaryMergeStaleSummary(t *testing.T) {
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
 
 	// Learn a committed pair from a clean run.
-	cleanSr, _ := runSummaryMerge(t, m, 2, 1, 1)
+	cleanSr, _ := runSummaryMerge(t, m, 2, 1)
 	var victim string
 	for _, p := range cleanSr.Pairs {
 		if p.Profitable {

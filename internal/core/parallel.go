@@ -9,10 +9,10 @@ package core
 //
 // The contract is strict determinism: for any Config.Workers setting
 // the pass must produce the identical Report (same pairs, same merges,
-// same stats; only wall-clock stage times differ). That is why commits
-// are only ever applied by the sequential committer loop (speculative
-// merge workers, when Config.MergeWorkers enables them, only warm the
-// alignment cache — see speculate.go), the LSH build is sharded by
+// same stats; only wall-clock stage times differ). That is why the
+// merge loop handles one pair at a time (a ranking query may fan its
+// comparisons out, but alignment, code generation and commits stay
+// sequential), the LSH build is sharded by
 // band (lsh.BatchInsert), and the parallel nearest-neighbour reduction
 // breaks distance ties toward the lowest index exactly as the
 // sequential first-minimum scan does.

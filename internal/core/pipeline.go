@@ -18,14 +18,13 @@
 // its live module set on every incremental re-merge, passing a
 // persistent alignment cache through Config.MergeOpts. Because the
 // cache is outcome-neutral and the Report is identical for every
-// Workers/MergeWorkers value, the daemon's reports stay byte-identical
+// Workers value, the daemon's reports stay byte-identical
 // to a one-shot run over the same modules (DESIGN.md, "Serving").
 package core
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -131,21 +130,6 @@ type Config struct {
 	// always applied by the single sequential committer loop, so module
 	// mutation semantics do not depend on Workers.
 	Workers int
-
-	// MergeWorkers enables the speculative merge stage (F3M only):
-	// values above 1 start MergeWorkers-1 speculative workers that
-	// pre-align upcoming ranked pairs into the shared alignment cache
-	// while the sequential committer replays the authoritative
-	// algorithm (see internal/core/speculate.go). 0 or 1 — the default
-	// — keeps the merge stage fully sequential. The pool is capped to
-	// the CPUs left over beyond the committer (GOMAXPROCS-1): workers
-	// beyond that only time-slice the committer and slow it down,
-	// so on a single-CPU process every setting runs sequentially.
-	// Every setting produces
-	// the byte-identical Report and deterministic metrics export; only
-	// wall clocks and volatile counters (speculation and cache
-	// statistics) differ.
-	MergeWorkers int
 
 	// Hotness, when set, enables the profile-guided extension the
 	// paper sketches as future work (Section IV-F): among candidates
@@ -349,12 +333,6 @@ var (
 	blockMoveBounds  = []float64{0, 1, 2, 4, 8, 16, 32}
 )
 
-// attemptMerge runs align+codegen+profitability for one ranked pair and
-// commits on success, updating the report stages, the funnel counters
-// and the attempt span (a child of parent, which is nil when tracing
-// is off). Unexpected merge errors (anything but ErrIncompatible) are
-// returned to the caller rather than panicking, so Run surfaces them
-// through its error result.
 // liveInModule reports whether f is still the module's definition under
 // its name — false once a commit deleted it (thunked originals remain
 // live: their body changed but the object did not).
@@ -362,7 +340,13 @@ func liveInModule(m *ir.Module, f *ir.Function) bool {
 	return m.Func(f.Name()) == f
 }
 
-func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, eng *analysis.Engine, rankDur time.Duration, sim float64, parent *obs.Span, spec *specEngine) (bool, *ir.Function, error) {
+// attemptMerge runs align+codegen+profitability for one ranked pair and
+// commits on success, updating the report stages, the funnel counters
+// and the attempt span (a child of parent, which is nil when tracing
+// is off). It reports whether the pair was committed. Unexpected merge
+// errors (anything but ErrIncompatible) are returned to the caller
+// rather than panicking, so Run surfaces them through its error result.
+func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, eng *analysis.Engine, rankDur time.Duration, sim float64, parent *obs.Span) (bool, error) {
 	sp := parent.Child("attempt")
 	sp.SetAttr("a", fa.Name())
 	sp.SetAttr("b", fb.Name())
@@ -381,14 +365,14 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 		rep.Attempts++
 		mx.Counter("merge.stale_operand").Inc()
 		sp.SetAttr("outcome", "stale-operand")
-		return false, nil, nil
+		return false, nil
 	}
 	mx.Histogram("rank.similarity", decileBounds).Observe(sim)
 
 	res, err := mergePair(m, fa, fb, cfg.MergeOpts)
 	if err != nil {
 		if !errors.Is(err, merge.ErrIncompatible) {
-			return false, nil, fmt.Errorf("core: merging %s + %s: %w", fa.Name(), fb.Name(), err)
+			return false, fmt.Errorf("core: merging %s + %s: %w", fa.Name(), fb.Name(), err)
 		}
 		// Incompatible pairs cost ranking plus a trivial align check.
 		rep.Times.RankFail += rankDur
@@ -396,7 +380,7 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 		rep.Attempts++
 		mx.Counter("merge.incompatible").Inc()
 		sp.SetAttr("outcome", "incompatible")
-		return false, nil, nil
+		return false, nil
 	}
 	rep.Attempts++
 	outcome.MergeDur = res.AlignDur + res.CodegenDur
@@ -406,7 +390,7 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 		// CFG-aware attempt: record how much block reordering the
 		// canonical matcher absorbed and the score it reached. Both are
 		// observed only from the sequential committer, so the histograms
-		// stay deterministic for every Workers/MergeWorkers setting.
+		// stay deterministic for every Workers setting.
 		mx.Histogram("align.cfg.block_moves", blockMoveBounds).Observe(float64(res.BlockMoves))
 		mx.Histogram("align.cfg.score", decileBounds).Observe(res.AlignScore)
 	}
@@ -423,16 +407,9 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 			rep.Pairs = append(rep.Pairs, outcome)
 			mx.Counter("merge.stale_commit").Inc()
 			sp.SetAttr("outcome", "stale-commit")
-			return false, nil, nil
+			return false, nil
 		}
-		spec.lockCommit()
 		info := merge.Commit(m, res)
-		// Intern the merged function's value type while still inside
-		// the critical section, so its type ID is assigned by the
-		// committer at a deterministic point — never racing a
-		// speculative worker that encodes a rewritten call site.
-		_ = res.Merged.Type()
-		spec.unlockCommit()
 		if eng != nil {
 			eng.AuditCommit(m, info)
 		}
@@ -448,7 +425,7 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 		mx.Histogram("merge.saving", savingBounds).Observe(float64(outcome.Saving))
 		sp.SetAttr("outcome", "committed")
 		sp.SetAttr("saving", outcome.Saving)
-		return true, res.Merged, nil
+		return true, nil
 	}
 	merge.Discard(m, res)
 	rep.Times.RankFail += rankDur
@@ -457,7 +434,7 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 	rep.Pairs = append(rep.Pairs, outcome)
 	mx.Counter("merge.unprofitable").Inc()
 	sp.SetAttr("outcome", "unprofitable")
-	return false, nil, nil
+	return false, nil
 }
 
 // publishRunMetrics records the run-level results into the registry
@@ -485,6 +462,21 @@ func publishRunMetrics(rep *Report, cfg Config, workers int) {
 	mx.VolatileGauge("time.align_ns").Set(float64(t.AlignSuccess + t.AlignFail))
 	mx.VolatileGauge("time.codegen_ns").Set(float64(t.CodegenSuccess + t.CodegenFail))
 	mx.VolatileGauge("time.total_ns").Set(float64(t.Total()))
+}
+
+// publishCacheMetrics exports the alignment-cache counters. Hit and
+// miss counts depend on what the cache already held — callers may
+// share one cache across runs (the serving daemon does, and
+// RunSummaryMerge keeps it across replays) — so all four are volatile.
+func publishCacheMetrics(mx *obs.Metrics, c *align.Cache) {
+	if mx == nil || c == nil {
+		return
+	}
+	st := c.Stats()
+	mx.VolatileCounter("merge.cache_hit").Add(st.Hits)
+	mx.VolatileCounter("merge.cache_miss").Add(st.Misses)
+	mx.VolatileCounter("merge.cache_reject").Add(st.Rejects)
+	mx.VolatileCounter("merge.cache_evict").Add(st.Evictions)
 }
 
 // runHyFM is the baseline: exhaustive nearest-neighbour ranking over
@@ -535,7 +527,7 @@ func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 		}
 		mx.Counter(obs.FunnelAboveThreshold).Inc()
 		sim := fps[i].Similarity(fps[best])
-		ok, _, err := attemptMerge(m, funcs[i], funcs[best], cfg, rep, eng, rankDur, sim, loop, nil)
+		ok, err := attemptMerge(m, funcs[i], funcs[best], cfg, rep, eng, rankDur, sim, loop)
 		if err != nil {
 			return nil, err
 		}
@@ -670,33 +662,6 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 		return cfg.Hotness != nil && cfg.HotSkip > 0 && cfg.Hotness(funcs[i].Name()) >= cfg.HotSkip
 	}
 
-	// Speculative merge stage. The type pre-warm runs for every
-	// MergeWorkers setting so type-ID assignment — and with it the
-	// instruction encodings — cannot depend on whether workers exist.
-	// It must come after fingerprinting so the fingerprint-stage
-	// encodings keep their historical lazily-assigned IDs. Speculation
-	// itself needs the plain similarity ranking (profile-guided
-	// selection queries differently) and the live call index (for
-	// invalidation), and is pointless below two functions.
-	prewarmTypes(m, funcs)
-	mergeWorkers := cfg.MergeWorkers
-	// Speculation exists to use CPUs the sequential committer leaves
-	// idle; the committer replays every alignment either way. With no
-	// spare parallelism the workers only time-slice the committer's
-	// CPU — cloning and demoting pairs whose cached alignments arrive
-	// no sooner — so the pool is capped to the spare Ps. Capping never
-	// affects the Report (speculation is outcome-neutral by
-	// construction), only wall clock and volatile cache counters.
-	if spare := runtime.GOMAXPROCS(0) - 1; mergeWorkers-1 > spare {
-		mergeWorkers = spare + 1
-	}
-	var spec *specEngine
-	if mergeWorkers > 1 && cfg.Hotness == nil && cfg.MergeOpts.Index != nil && len(funcs) > 1 {
-		spec = newSpecEngine(m, funcs, sigs, ix, cfg.MergeOpts.AlignCache,
-			cfg.MergeOpts.MinBlockRatio, threshold, cfg.MergeOpts.CFGAlign, mergeWorkers-1, mx)
-	}
-	defer spec.stop()
-
 	loop := run.Child("merge-loop")
 	merged := make([]bool, len(funcs))
 	for i := range funcs {
@@ -744,25 +709,17 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 			rep.Pairs = append(rep.Pairs, PairOutcome{A: funcs[i].Name()})
 			continue
 		}
-		ok, mergedFn, err := attemptMerge(m, funcs[i], funcs[best.ID], cfg, rep, eng, rankDur, best.Similarity, loop, spec)
+		ok, err := attemptMerge(m, funcs[i], funcs[best.ID], cfg, rep, eng, rankDur, best.Similarity, loop)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			merged[i], merged[best.ID] = true, true
-			spec.lockCommit()
 			ix.Remove(i, sigs[i])
 			ix.Remove(best.ID, sigs[best.ID])
-			spec.unlockCommit()
-			var touched []*ir.Function
-			if spec != nil && mergedFn != nil {
-				touched = cfg.MergeOpts.Index.CallerFuncs(mergedFn)
-			}
-			spec.afterCommit(i, best.ID, touched)
 		}
 	}
 	loop.End()
-	spec.stop()
 	rep.LSHStats = ix.Stats()
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)

@@ -104,8 +104,8 @@ func CloneFunc(dst *Module, src *Function, name string) *Function {
 }
 
 // CloneArena recycles the block and instruction objects of short-lived
-// function clones. The merger and the speculative workers clone a pair,
-// demote it, align it and throw the clone away — thousands of times per
+// function clones. The merger clones a pair, demotes it, aligns it
+// and throws the clone away — thousands of times per
 // run — so the arena keeps freelists of dead blocks/instructions (with
 // their operand-slice capacity) plus reusable remap tables, turning the
 // per-clone allocation storm into a handful of appends.

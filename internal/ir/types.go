@@ -130,13 +130,12 @@ func (t *Type) String() string {
 // the Module's context; mixing contexts breaks pointer-equality checks.
 //
 // Interning is guarded by a mutex, so looking up (or creating) types is
-// safe from concurrent goroutines — the speculative merge stage clones
-// and encodes functions while the committer generates code against the
-// same context. Note that thread-safety is not the same as ID
-// determinism: dense type IDs are assigned in interning order, so any
-// code that must keep IDs schedule-independent (the pipeline) has to
-// ensure concurrent readers only ever re-intern types that already
-// exist (see core's type pre-warm).
+// safe from concurrent goroutines — the pipeline's parallel
+// fingerprinting encodes functions of one context at once. Note that
+// thread-safety is not the same as ID determinism: dense type IDs are
+// assigned in interning order, so code that must keep IDs
+// schedule-independent may intern new types only from one goroutine
+// (the pipeline's sequential merge loop).
 type TypeContext struct {
 	mu    sync.Mutex
 	byKey map[string]*Type

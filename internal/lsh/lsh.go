@@ -13,10 +13,9 @@
 // An Index is single-writer: Insert and Remove must not run
 // concurrently with anything else, while PeekCandidates is read-only
 // and safe for any number of concurrent callers between mutations.
-// Both in-process consumers build on that split — the speculative
-// merge stage's read-only speculators (internal/core), and the serving
-// layer's sharded similarity store, which places one Index behind each
-// shard's RWMutex (internal/serve).
+// The serving layer's sharded similarity store builds on that split: it
+// places one Index behind each shard's RWMutex and answers queries
+// through PeekCandidates under the read lock (internal/serve).
 package lsh
 
 import (
@@ -409,7 +408,7 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 	return out
 }
 
-// PeekCandidates is a read-only variant of Query for speculative
+// PeekCandidates is a read-only variant of Query for concurrent
 // lookups: it returns up to k accepted candidates (best first, k <= 0
 // meaning unlimited) without touching the index's stats counters or
 // the per-query dedup stamps — deduplication uses a local set instead.
@@ -417,13 +416,12 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 // run concurrently with each other and with the (externally
 // serialized) authoritative Query/BestWhereN calls, which write only
 // the stats and stamp state that Peek never reads. Callers must still
-// prevent concurrent Insert/Remove/BatchInsert — the pipeline holds
-// its commit lock across those.
+// prevent concurrent Insert/Remove/BatchInsert — the serving store
+// holds its shard's write lock across those.
 //
 // The candidate set matches what Query would see at the same index
-// state; only the accounting differs, which is exactly why speculation
-// uses this entry point (the authoritative counters must reflect the
-// sequential schedule alone).
+// state; only the accounting differs, so read-only callers never
+// perturb the counters the merging pass reports.
 func (ix *Index) PeekCandidates(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool, k int) []Candidate {
 	cap_ := ix.params.bucketCap()
 	seen := make(map[int32]struct{}, 64)

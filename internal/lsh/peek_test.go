@@ -25,7 +25,7 @@ func peekFixture(seed int64, n int) (*Index, []fingerprint.MinHash) {
 	return ix, sigs
 }
 
-// TestPeekCandidatesMatchesQuery: the read-only speculative lookup must
+// TestPeekCandidatesMatchesQuery: the read-only lookup must
 // see exactly the candidate set Query sees at the same index state —
 // the whole determinism argument rests on Peek being pure accounting
 // savings, not a different ranking.
@@ -60,7 +60,7 @@ func TestPeekCandidatesLeavesStatsAlone(t *testing.T) {
 
 // TestPeekCandidatesFilterAndTruncate: the accept filter excludes
 // candidates before scoring and k truncates after the deterministic
-// sort, mirroring how the speculation engine consumes it.
+// sort, mirroring how the serving store consumes it.
 func TestPeekCandidatesFilterAndTruncate(t *testing.T) {
 	ix, sigs := peekFixture(5, 40)
 	for id := range sigs {

@@ -86,24 +86,6 @@ func (ci *CallIndex) CallSites(f *ir.Function) []*ir.Instr {
 // profitability model's input).
 func (ci *CallIndex) NumCallSites(f *ir.Function) int { return len(ci.sites[f]) }
 
-// CallerFuncs returns the distinct functions containing direct call
-// sites of f, in no particular order. The speculative merge stage uses
-// it to invalidate speculations over functions whose bodies a commit
-// just rewrote.
-func (ci *CallIndex) CallerFuncs(f *ir.Function) []*ir.Function {
-	seen := make(map[*ir.Function]bool, len(ci.sites[f]))
-	out := make([]*ir.Function, 0, len(ci.sites[f]))
-	for in := range ci.sites[f] {
-		blk := in.Parent
-		if blk == nil || blk.Parent == nil || seen[blk.Parent] {
-			continue
-		}
-		seen[blk.Parent] = true
-		out = append(out, blk.Parent)
-	}
-	return out
-}
-
 // HasNonCallUses reports whether f's address is taken anywhere.
 func (ci *CallIndex) HasNonCallUses(f *ir.Function) bool { return ci.nonCall[f] > 0 }
 

@@ -61,8 +61,8 @@ type Options struct {
 	// the code generator performs (block pairing and paired-block
 	// bodies). The cache is exact — identical results with or without
 	// it — and safe to share across goroutines; the pipeline uses one
-	// per run so speculative workers can pre-warm the alignments the
-	// committer will need. Nil disables caching.
+	// per run, and the serving daemon keeps one across runs. Nil
+	// disables caching.
 	AlignCache *align.Cache
 
 	// SnapshotOriginals makes Commit clone the pre-merge bodies of both
@@ -308,7 +308,7 @@ func Commit(m *ir.Module, r *Result) *CommitInfo {
 	if r.snapshot {
 		// Clone before any rewriting: the snapshots must capture the
 		// pre-commit semantics, and they live outside the real module so
-		// no pipeline stage (or speculative worker) ever walks into them.
+		// no pipeline stage ever walks into them.
 		scratch := ir.NewModuleInCtx("tv.ref", m.Ctx)
 		snapA = ir.CloneFunc(scratch, r.fa, r.fa.Name())
 		snapB = ir.CloneFunc(scratch, r.fb, r.fb.Name())

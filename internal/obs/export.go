@@ -28,7 +28,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the registry. Volatile metrics (wall-clock times,
-// worker counts, utilization gauges; speculation and cache counters)
+// worker counts, utilization gauges, cache counters)
 // are included only when includeVolatile is set; leaving them out
 // makes the snapshot deterministic for a given workload and
 // configuration, independent of scheduling. A nil registry snapshots

@@ -67,8 +67,9 @@ func (m *Metrics) Counter(name string) *Counter {
 }
 
 // VolatileCounter is Counter for counts that legitimately differ
-// between runs or configurations — speculative work performed, cache
-// hits, requeues: anything whose value depends on goroutine scheduling.
+// between runs or configurations — cache hits that depend on what a
+// shared cache already held, worker counts: anything whose value
+// depends on scheduling or history rather than on the workload.
 // Volatile counters are excluded from the deterministic JSON export
 // (WriteJSON) and shown only by WriteText and String, mirroring
 // VolatileGauge. The volatility of a name is fixed by whichever call

@@ -126,3 +126,33 @@ join:
 		t.Errorf("constant not propagated to the use:\n%s", ir.FuncString(f))
 	}
 }
+
+func TestElimRedundantPhisCycle(t *testing.T) {
+	// %q forwards %p, and %p merges %x with %q: both carry %x. Replacing
+	// %q must also rewrite its use inside %p (the replacement itself),
+	// or %p is left pointing at the deleted %q.
+	src := `
+define i32 @f(i32 %x, i1 %c) {
+entry:
+  br label %head
+head:
+  %p = phi i32 [%x, %entry], [%q, %latch]
+  br i1 %c, label %latch, label %exit
+latch:
+  %q = phi i32 [%p, %head]
+  br label %head
+exit:
+  ret i32 %p
+}`
+	m := mustParse(t, src)
+	f := m.Func("f")
+	if n := ElimRedundantPhis(f); n != 2 {
+		t.Errorf("removed %d phis, want 2", n)
+	}
+	if err := ir.VerifyFunc(f); err != nil {
+		t.Fatalf("invalid after elimination: %v\n%s", err, ir.FuncString(f))
+	}
+	if !strings.Contains(ir.FuncString(f), "ret i32 %x") {
+		t.Errorf("cycle not collapsed to its only incoming value:\n%s", ir.FuncString(f))
+	}
+}

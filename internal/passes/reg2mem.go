@@ -179,12 +179,11 @@ func insertStoreForEdge(pred *ir.Block, v ir.Value, st *ir.Instr) {
 	pred.InsertAt(at, st)
 }
 
-// replaceAllUses substitutes new for old in every instruction of f.
+// replaceAllUses substitutes new for old in every instruction of f,
+// new included: when new is a phi that used old (a phi cycle), that
+// use becomes a self-reference instead of dangling once old is gone.
 func replaceAllUses(f *ir.Function, old, new ir.Value) {
 	f.Instructions(func(in *ir.Instr) {
-		if in == new {
-			return
-		}
 		in.ReplaceUsesOfWith(old, new)
 	})
 }

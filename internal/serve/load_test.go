@@ -135,8 +135,7 @@ func runLoad(t *testing.T, clients int) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(core.F3MStatic)
-	cfg.Workers = 1      // service merged with Workers=0 (parallel)
-	cfg.MergeWorkers = 1 // sequential merge loop
+	cfg.Workers = 1 // service merged with Workers=0 (parallel)
 	rep, err := core.Run(linked, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -39,15 +39,14 @@ type Config struct {
 	// banding parameters).
 	Store StoreConfig
 
-	// Strategy, Threshold, K, Workers, MergeWorkers and Check are the
-	// pipeline parameters applied by every Merge, exactly as the
-	// equivalent one-shot core.Config would be built by cmd/f3m.
-	Strategy     core.Strategy
-	Threshold    float64
-	K            int
-	Workers      int
-	MergeWorkers int
-	Check        core.CheckMode
+	// Strategy, Threshold, K, Workers and Check are the pipeline
+	// parameters applied by every Merge, exactly as the equivalent
+	// one-shot core.Config would be built by cmd/f3m.
+	Strategy  core.Strategy
+	Threshold float64
+	K         int
+	Workers   int
+	Check     core.CheckMode
 
 	// SnapshotPath is the default snapshot file used by the snapshot
 	// and restore endpoints when the request does not name one.
@@ -487,7 +486,6 @@ func (s *Server) Merge() (MergeSummary, error) {
 	}
 	cfg.K = s.cfg.K
 	cfg.Workers = s.cfg.Workers
-	cfg.MergeWorkers = s.cfg.MergeWorkers
 	cfg.Check = s.cfg.Check
 	cfg.Metrics = s.mx
 	cfg.Tracer = s.cfg.Tracer
@@ -594,8 +592,7 @@ func (s *Server) Healthz() Health {
 // — strategy, corpus size, funnel totals, effective parameters, LSH
 // counters, the full pair log and the canonically rendered diagnostics
 // — into one string. Wall clocks are excluded. Two runs over the same
-// module set must render identically for any Workers/MergeWorkers
-// setting and any service history; the load tests and the smoke gate
+// module set must render identically for any Workers setting and any service history; the load tests and the smoke gate
 // hold the service to exactly this.
 func CanonicalReport(rep *core.Report) string {
 	var sb strings.Builder

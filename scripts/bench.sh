@@ -1,10 +1,10 @@
 #!/bin/sh
 # bench.sh — merge-stage perf regression snapshot.
 #
-# Runs BenchmarkMergeStage (the merge/commit loop with the speculative
-# worker pool and pooled-DP alignment cache) and writes the numbers to
-# BENCH_merge.json so the perf trajectory — ns/op, allocs/op and the
-# committer's cache hit rate per -merge-workers setting — is tracked
+# Runs BenchmarkMergeStage (a whole F3M pass: preprocessing plus the
+# sequential merge/commit loop with its pooled-DP alignment cache) and
+# writes the numbers to BENCH_merge.json so the perf trajectory — ns/op,
+# allocs/op, the pass's cache hit rate and its merge count — is tracked
 # across PRs. It also runs BenchmarkSummaryExtract (the per-module half
 # of the cross-module workflow) and writes summaries/sec plus bytes/func
 # to BENCH_summary.json, and BenchmarkAlignStrategies (sequence vs
@@ -22,10 +22,7 @@
 # or set ALLOC_BUDGET=skip to bypass), the run also gates allocs/op
 # against the checked-in per-config ceilings and exits nonzero on a
 # regression. Allocation counts are schedule-stable — unlike ns/op on
-# a noisy box — which is what makes a hard gate feasible. The budget
-# only pins workers=1: with merge workers enabled the speculative
-# pool's allocation count depends on how many claims race ahead of the
-# committer, which varies with host CPU count.
+# a noisy box — which is what makes a hard gate feasible.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,10 +36,7 @@ echo "== go test -bench BenchmarkMergeStage (benchtime $BENCHTIME)"
 go test -run '^$' -bench '^BenchmarkMergeStage$' -benchmem -benchtime "$BENCHTIME" . | tee "$RAW"
 
 awk '
-/^BenchmarkMergeStage\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)          # strip the GOMAXPROCS suffix
-    sub(/^BenchmarkMergeStage\//, "", name)
+/^BenchmarkMergeStage/ {
     ns = ""; bytes = ""; allocs = ""; hit = ""; merges = ""
     for (i = 3; i < NF; i += 2) {
         v = $i; u = $(i + 1)
@@ -52,12 +46,9 @@ awk '
         else if (u == "cache-hit-rate") hit = v
         else if (u == "merges") merges = v
     }
-    if (n++) printf ",\n"
-    printf "  {\"bench\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"cache_hit_rate\": %s, \"merges\": %s}", \
-        name, ns, bytes, allocs, (hit == "" ? "null" : hit), (merges == "" ? "null" : merges)
+    printf "[\n  {\"bench\": \"MergeStage\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"cache_hit_rate\": %s, \"merges\": %s}\n]\n", \
+        ns, bytes, allocs, (hit == "" ? "null" : hit), (merges == "" ? "null" : merges)
 }
-BEGIN { printf "[\n" }
-END   { printf "\n]\n" }
 ' "$RAW" >"$OUT"
 
 echo "== wrote $OUT"

@@ -57,9 +57,9 @@ trap 'rm -rf "$XMOD"' EXIT
 go run ./cmd/f3m summary -source xmod_a.ir -o "$XMOD/xmod_a.sum" cmd/f3m/testdata/xmod_a.ir
 go run ./cmd/f3m summary -source xmod_b.ir -o "$XMOD/xmod_b.sum" cmd/f3m/testdata/xmod_b.ir
 cp cmd/f3m/testdata/xmod_a.ir cmd/f3m/testdata/xmod_b.ir "$XMOD/"
-go run ./cmd/f3m merge -summaries -check=validate -workers 1 -merge-workers 1 -v \
+go run ./cmd/f3m merge -summaries -check=validate -workers 1 -v \
     "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" | sed 's/^pass time:.*$//' >"$XMOD/seq.txt"
-go run ./cmd/f3m merge -summaries -check=validate -workers 8 -merge-workers 8 -v \
+go run ./cmd/f3m merge -summaries -check=validate -workers 8 -v \
     "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" | sed 's/^pass time:.*$//' >"$XMOD/par.txt"
 cmp "$XMOD/seq.txt" "$XMOD/par.txt"
 grep -q "0 misspeculated" "$XMOD/seq.txt"
@@ -75,10 +75,10 @@ WAT="$(mktemp -d)"
 trap 'rm -rf "$XMOD" "$WAT"' EXIT
 go run ./cmd/f3m -check=strict \
     cmd/f3m/testdata/scanner_v1.wat cmd/f3m/testdata/scanner_v2.wat >/dev/null
-go run ./cmd/f3m -check=validate -workers 1 -merge-workers 1 -v \
+go run ./cmd/f3m -check=validate -workers 1 -v \
     cmd/f3m/testdata/scanner_v1.wat cmd/f3m/testdata/scanner_v2.wat \
     | sed 's/^pass time:.*$//' >"$WAT/seq.txt"
-go run ./cmd/f3m -check=validate -workers 8 -merge-workers 8 -v \
+go run ./cmd/f3m -check=validate -workers 8 -v \
     cmd/f3m/testdata/scanner_v1.wat cmd/f3m/testdata/scanner_v2.wat \
     | sed 's/^pass time:.*$//' >"$WAT/par.txt"
 cmp "$WAT/seq.txt" "$WAT/par.txt"
@@ -92,18 +92,18 @@ echo "== f3m -strategy=f3m-cfg corpus gate"
 # between the sequential and fully parallel settings.
 CFG="$(mktemp -d)"
 trap 'rm -rf "$XMOD" "$WAT" "$CFG"' EXIT
-go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 1 -merge-workers 1 -v \
+go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 1 -v \
     cmd/f3m/testdata/scanner_v1.wat cmd/f3m/testdata/scanner_v2.wat \
     | sed 's/^pass time:.*$//' >"$CFG/wat_seq.txt"
-go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 8 -merge-workers 8 -v \
+go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 8 -v \
     cmd/f3m/testdata/scanner_v1.wat cmd/f3m/testdata/scanner_v2.wat \
     | sed 's/^pass time:.*$//' >"$CFG/wat_par.txt"
 cmp "$CFG/wat_seq.txt" "$CFG/wat_par.txt"
 grep -q "0 diagnostics (0 errors)" "$CFG/wat_seq.txt"
 grep -q "ranked pairs, [1-9]" "$CFG/wat_seq.txt"
-go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 1 -merge-workers 1 -v \
+go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 1 -v \
     testdata/handlers.c | sed 's/^pass time:.*$//' >"$CFG/minic_seq.txt"
-go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 8 -merge-workers 8 -v \
+go run ./cmd/f3m -strategy=f3m-cfg -check=validate -workers 8 -v \
     testdata/handlers.c | sed 's/^pass time:.*$//' >"$CFG/minic_par.txt"
 cmp "$CFG/minic_seq.txt" "$CFG/minic_par.txt"
 grep -q "0 diagnostics (0 errors)" "$CFG/minic_seq.txt"
