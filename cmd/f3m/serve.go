@@ -25,7 +25,6 @@ import (
 func runServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("f3m serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7333", "listen address")
-	shards := fs.Int("shards", 0, "similarity store shards (0 = default)")
 	strategy := fs.String("strategy", "f3m", "ranking strategy: "+strings.Join(core.StrategyNames(), ", "))
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = strategy default)")
 	k := fs.Int("k", 0, "MinHash fingerprint size (0 = default)")
@@ -59,7 +58,6 @@ func runServe(args []string, stdout io.Writer) error {
 	}
 
 	cfg := serve.DefaultConfig()
-	cfg.Store.Shards = *shards
 	cfg.Store.K = *k
 	cfg.Strategy = strat
 	cfg.Threshold = *threshold

@@ -44,7 +44,7 @@ func (ix *Index) Modules() []*ModuleSummary { return ix.mods }
 // garbage: wrong format version, differing fingerprint parameters,
 // colliding module names (which would make every pair look
 // intra-module and break the cross-module accounting), and duplicate
-// definitions of one function name across modules.
+// definitions of one function name, within or across modules.
 func (ix *Index) Add(ms *ModuleSummary) error {
 	if ms.Version != Version {
 		return fmt.Errorf("summary: module %s: version %q not supported (want %q)", ms.Module, ms.Version, Version)
@@ -60,10 +60,15 @@ func (ix *Index) Add(ms *ModuleSummary) error {
 		return fmt.Errorf("summary: module %s: params %+v incomparable with index params %+v",
 			ms.Module, ms.Params, ix.params)
 	}
+	listed := make(map[string]bool, len(ms.Funcs))
 	for _, fs := range ms.Funcs {
 		if prev, dup := ix.owner[fs.Name]; dup {
 			return fmt.Errorf("summary: function @%s defined in both %s and %s", fs.Name, prev, ms.Module)
 		}
+		if listed[fs.Name] {
+			return fmt.Errorf("summary: module %s lists function @%s twice", ms.Module, fs.Name)
+		}
+		listed[fs.Name] = true
 	}
 	for _, fs := range ms.Funcs {
 		ix.owner[fs.Name] = ms.Module

@@ -340,7 +340,13 @@ func Decode(data []byte) (*ModuleSummary, error) {
 	if ms.Version != Version {
 		return nil, fmt.Errorf("summary: version %q not supported (want %q)", ms.Version, Version)
 	}
-	for _, fs := range ms.Funcs {
+	if p := ms.Params.withDefaults(); p.Rows <= 0 || p.Bands <= 0 {
+		return nil, fmt.Errorf("summary: params %+v leave no LSH band", ms.Params)
+	}
+	for i, fs := range ms.Funcs {
+		if fs == nil {
+			return nil, fmt.Errorf("summary: function %d is null", i)
+		}
 		if len(fs.MinHash) != ms.Params.K {
 			return nil, fmt.Errorf("summary: function %s: fingerprint has %d lanes, params say k=%d",
 				fs.Name, len(fs.MinHash), ms.Params.K)

@@ -93,6 +93,13 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	if _, err := Decode([]byte("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
+	if _, err := Decode([]byte(`{"version":"f3msum1","funcs":[null]}`)); err == nil {
+		t.Error("null function entry accepted")
+	}
+	// k=1 resolves to b = k/r = 0 bands, which planning cannot index.
+	if _, err := Decode([]byte(`{"version":"f3msum1","params":{"k":1}}`)); err == nil {
+		t.Error("params with no LSH band accepted")
+	}
 }
 
 func TestMatches(t *testing.T) {
@@ -152,6 +159,11 @@ func TestIndexAddRejections(t *testing.T) {
 	renamed.Module = a.Module + ".copy"
 	if err := ix.Add(&renamed); err == nil {
 		t.Error("duplicate definitions accepted")
+	}
+	twice := *b
+	twice.Funcs = append([]*FuncSummary{b.Funcs[0]}, b.Funcs...)
+	if err := ix.Add(&twice); err == nil {
+		t.Error("function listed twice in one module accepted")
 	}
 	bad := *b
 	bad.Version = "f3msum0"

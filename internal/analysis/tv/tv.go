@@ -91,14 +91,20 @@ func (v *Validator) validateSide(m *ir.Module, info *merge.CommitInfo, side *mer
 	// canonicalization passes may rewrite them freely without the real
 	// module (or the pristine snapshot) ever changing.
 	scratch := ir.NewModuleInCtx("tv.scratch", m.Ctx)
-	spec := ir.CloneFunc(scratch, info.Merged, "tv.spec")
-	ref := ir.CloneFunc(scratch, side.Snapshot, "tv.ref")
+	pin := ir.ConstBool(m.Ctx, d)
+	spec := canonicalClone(scratch, info.Merged, "tv.spec", pin, nil)
+	ref := canonicalClone(scratch, side.Snapshot, "tv.ref", nil, nil)
 
-	assume := map[ir.Value]*ir.Const{
-		ir.Value(spec.Params[0]): ir.ConstBool(m.Ctx, d),
+	// A pass that leaves invalid IR would otherwise surface as a
+	// misleading structural mismatch.
+	if err := ir.VerifyFunc(spec); err != nil {
+		return errd("", "", "internal error: canonicalization pass %s left the specialized merged function invalid: %v",
+			brokenPass(m, info.Merged, pin), err)
 	}
-	canonicalize(spec, assume)
-	canonicalize(ref, nil)
+	if err := ir.VerifyFunc(ref); err != nil {
+		return errd("", "", "internal error: canonicalization pass %s left the original invalid: %v",
+			brokenPass(m, side.Snapshot, nil), err)
+	}
 
 	if mis := bisimulate(spec, ref, info, side, d); mis != nil {
 		return errd(mis.block, mis.instr, "%s", mis.msg)
@@ -115,35 +121,92 @@ func sideName(d bool) string {
 	return "B"
 }
 
-// canonicalize rewrites f into the normal form both comparands share:
-// constants (including the assumed discriminator) folded and propagated
-// through branches via SCCP, identity simplifications the merge
-// pipeline also performs (ConstFold, notably select-with-equal-arms)
-// applied, decided control flow pruned, then a
+// canonPass is one named step of the canonicalization pipeline. The
+// assumption map pins values to constants; only SCCP reads it.
+type canonPass struct {
+	name string
+	run  func(f *ir.Function, assume map[ir.Value]*ir.Const) int
+}
+
+// canonStage is a pass sequence, run once or repeated until a whole
+// round rewrites nothing.
+type canonStage struct {
+	fixpoint bool
+	passes   []canonPass
+}
+
+// plain adapts a pass that takes no assumptions.
+func plain(run func(*ir.Function) int) func(*ir.Function, map[ir.Value]*ir.Const) int {
+	return func(f *ir.Function, _ map[ir.Value]*ir.Const) int { return run(f) }
+}
+
+// canonPipeline rewrites a function into the normal form both
+// comparands share: constants (including the assumed discriminator)
+// folded and propagated through branches via SCCP, identity
+// simplifications the merge pipeline also performs (ConstFold, notably
+// select-with-equal-arms) applied, decided control flow pruned, then a
 // RegToMem/Mem2Reg round trip to re-derive phi placement purely from
 // the dominance structure, and a final cleanup fixpoint. Two functions
 // that are the same program up to value naming canonicalize to
 // structurally identical IR.
-func canonicalize(f *ir.Function, assume map[ir.Value]*ir.Const) {
-	for {
-		n := sccpFold(f, assume)
-		n += passes.ConstFold(f)
-		n += passes.SimplifyCFG(f)
-		n += passes.DCE(f)
-		if n == 0 {
-			break
+var canonPipeline = []canonStage{
+	{fixpoint: true, passes: []canonPass{
+		{"sccp", sccpFold},
+		{"constfold", plain(passes.ConstFold)},
+		{"simplifycfg", plain(passes.SimplifyCFG)},
+		{"dce", plain(passes.DCE)},
+	}},
+	{passes: []canonPass{
+		{"reg2mem", plain(passes.RegToMem)},
+		{"mem2reg", plain(passes.Mem2Reg)},
+	}},
+	{fixpoint: true, passes: []canonPass{
+		{"constfold", plain(passes.ConstFold)},
+		{"simplifycfg", plain(passes.SimplifyCFG)},
+		{"dce", plain(passes.DCE)},
+	}},
+}
+
+// canonicalClone clones src into scratch under name and runs
+// canonPipeline over the clone, pinning its first parameter to pin
+// when pin is non-nil. When after is non-nil it runs after every pass,
+// and the pipeline stops at the first pass it returns false for.
+func canonicalClone(scratch *ir.Module, src *ir.Function, name string, pin *ir.Const, after func(pass string, f *ir.Function) bool) *ir.Function {
+	f := ir.CloneFunc(scratch, src, name)
+	var assume map[ir.Value]*ir.Const
+	if pin != nil {
+		assume = map[ir.Value]*ir.Const{ir.Value(f.Params[0]): pin}
+	}
+	for _, st := range canonPipeline {
+		for {
+			n := 0
+			for _, p := range st.passes {
+				n += p.run(f, assume)
+				if after != nil && !after(p.name, f) {
+					return f
+				}
+			}
+			if !st.fixpoint || n == 0 {
+				break
+			}
 		}
 	}
-	passes.RegToMem(f)
-	passes.Mem2Reg(f)
-	for {
-		n := passes.ConstFold(f)
-		n += passes.SimplifyCFG(f)
-		n += passes.DCE(f)
-		if n == 0 {
-			break
+	return f
+}
+
+// brokenPass names the first canonicalization pass that leaves src
+// invalid, by re-running canonPipeline on a fresh clone with a verify
+// after every pass. Only the failure path pays for this.
+func brokenPass(m *ir.Module, src *ir.Function, pin *ir.Const) string {
+	var pass string
+	canonicalClone(ir.NewModuleInCtx("tv.blame", m.Ctx), src, "tv.blame", pin, func(name string, f *ir.Function) bool {
+		if ir.VerifyFunc(f) != nil {
+			pass = name
+			return false
 		}
-	}
+		return true
+	})
+	return pass
 }
 
 // sccpFold applies one SCCP fixpoint to f: uses of values proven

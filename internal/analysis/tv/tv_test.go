@@ -1,10 +1,12 @@
 package tv
 
 import (
+	"strings"
 	"testing"
 
 	"f3m/internal/ir"
 	"f3m/internal/merge"
+	"f3m/internal/passes"
 )
 
 // reorderedTwins is a pair the CFG-aware strategy merges on 445.gobmk
@@ -184,5 +186,41 @@ func TestValidateRefutesSwappedOperands(t *testing.T) {
 	}
 	if len(ds) == 0 {
 		t.Error("validator accepted a merge with swapped subtraction operands")
+	}
+}
+
+// TestValidateNamesBrokenPass: when a canonicalization pass leaves
+// invalid IR, the validator reports an internal error naming that pass
+// instead of a structural mismatch. The substituted mem2reg detaches
+// the returned value's definition, leaving a dangling operand.
+func TestValidateNamesBrokenPass(t *testing.T) {
+	saved := canonPipeline
+	t.Cleanup(func() { canonPipeline = saved })
+	stage := saved[1]
+	stage.passes = []canonPass{stage.passes[0], {"broken-mem2reg", func(f *ir.Function, _ map[ir.Value]*ir.Const) int {
+		n := passes.Mem2Reg(f)
+		for _, b := range f.Blocks {
+			term := b.Term()
+			if term == nil || term.Op != ir.OpRet || len(term.Operands) == 0 {
+				continue
+			}
+			if def, ok := term.Operands[0].(*ir.Instr); ok {
+				blk := def.Parent
+				blk.Instrs = append(blk.Instrs[:blk.IndexOf(def)], blk.Instrs[blk.IndexOf(def)+1:]...)
+				return n + 1
+			}
+		}
+		return n
+	}}}
+	canonPipeline = []canonStage{saved[0], stage, saved[2]}
+
+	ds := mergeAndValidate(t, subTwins, "left", "right", merge.DefaultOptions(), nil)
+	if len(ds) == 0 {
+		t.Fatal("validator accepted comparands a broken pass left invalid")
+	}
+	for _, d := range ds {
+		if !strings.Contains(d, "canonicalization pass broken-mem2reg left the") {
+			t.Errorf("diagnostic does not name the broken pass: %s", d)
+		}
 	}
 }

@@ -13,9 +13,9 @@
 // An Index is single-writer: Insert and Remove must not run
 // concurrently with anything else, while PeekCandidates is read-only
 // and safe for any number of concurrent callers between mutations.
-// The serving layer's sharded similarity store builds on that split: it
-// places one Index behind each shard's RWMutex and answers queries
-// through PeekCandidates under the read lock (internal/serve).
+// The serving layer's similarity store builds on that split: it places
+// one Index behind an RWMutex and answers queries through
+// PeekCandidates under the read lock (internal/serve).
 package lsh
 
 import (

@@ -1,16 +1,16 @@
 // Package serve turns the one-shot merging pipeline into a long-lived
-// merge-as-a-service daemon: a sharded, concurrently readable
-// similarity store over the LSH index plus an HTTP/JSON API (stdlib
+// merge-as-a-service daemon: a concurrently readable similarity store
+// over the LSH index plus an HTTP/JSON API (stdlib
 // only) for streaming module submissions, removals, near-duplicate
 // queries, incremental re-merges and index snapshot/restore.
 //
 // The layering is deliberate:
 //
 //   - Store (store.go) is the concurrent substrate: function
-//     fingerprints and per-shard lsh.Index instances behind per-shard
-//     RWMutexes. Readers use the index's read-only PeekCandidates
-//     entry point, so any number of queries proceed in parallel with
-//     each other; inserts and removals take one shard's write lock.
+//     fingerprints and one lsh.Index behind one RWMutex. Readers use
+//     the index's read-only PeekCandidates entry point, so any number
+//     of queries proceed in parallel with each other; inserts and
+//     removals take the write lock.
 //     Fingerprints use the context-independent stable encoding
 //     (fingerprint.EncodeFuncStable) so modules parsed at different
 //     times — or restored from a snapshot written by an earlier
@@ -30,7 +30,8 @@
 //     including a running merge — complete.
 //
 // Snapshots (snapshot.go) are a versioned, CRC-guarded, deterministic
-// binary encoding of the server state; SERVING.md documents the format
-// and every endpoint. SelfCheck (smoke.go) drives a real loopback
+// binary encoding of the submitted modules alone; a restore rebuilds
+// the store from them. SERVING.md documents the format and every
+// endpoint. SelfCheck (smoke.go) drives a real loopback
 // server through every route and doubles as the docs-drift gate.
 package serve

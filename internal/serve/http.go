@@ -56,7 +56,10 @@ type apiError struct {
 
 // httpStatus maps server errors onto status codes and API error codes.
 func httpStatus(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound, "not_found"
 	case errors.Is(err, ErrModuleExists):
@@ -122,17 +125,27 @@ func (s *Server) fail(w http.ResponseWriter, name string, err error) {
 	writeError(w, err)
 }
 
+// maxBodyBytes caps every request body; a larger body is refused with
+// 413 too_large.
+const maxBodyBytes = 64 << 20
+
 // decodeBody decodes a JSON request body into v, rejecting unknown
 // fields so typos in client payloads surface as errors rather than
 // silently ignored options. An empty body decodes as all-defaults when
 // allowEmpty is set (Decode returns io.EOF verbatim on an empty body).
-func decodeBody(r *http.Request, v any, allowEmpty bool) error {
-	dec := json.NewDecoder(r.Body)
+// The body is read to its end, so the size cap applies to all of it,
+// not only to the JSON value at its front.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) error {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if allowEmpty && errors.Is(err, io.EOF) {
 			return nil
 		}
+		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
 	return nil
@@ -197,7 +210,7 @@ func (s *Server) handleModulesSubmit(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		IR   string `json:"ir"`
 	}
-	if err := decodeBody(r, &req, false); err != nil {
+	if err := decodeBody(w, r, &req, false); err != nil {
 		s.fail(w, "modules.submit", err)
 		return
 	}
@@ -256,7 +269,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		MinSimilarity float64 `json:"min_similarity"`
 		K             int     `json:"k"`
 	}
-	if err := decodeBody(r, &req, false); err != nil {
+	if err := decodeBody(w, r, &req, false); err != nil {
 		s.fail(w, "query", err)
 		return
 	}
@@ -352,7 +365,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Path string `json:"path"`
 	}
-	if err := decodeBody(r, &req, true); err != nil {
+	if err := decodeBody(w, r, &req, true); err != nil {
 		s.fail(w, "snapshot", err)
 		return
 	}
@@ -369,7 +382,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Path string `json:"path"`
 	}
-	if err := decodeBody(r, &req, true); err != nil {
+	if err := decodeBody(w, r, &req, true); err != nil {
 		s.fail(w, "restore", err)
 		return
 	}

@@ -13,6 +13,7 @@ import (
 
 	"f3m/internal/align"
 	"f3m/internal/core"
+	"f3m/internal/fingerprint"
 	"f3m/internal/ir"
 	"f3m/internal/obs"
 )
@@ -35,8 +36,8 @@ var (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store shapes the similarity store (shards, fingerprint and
-	// banding parameters).
+	// Store shapes the similarity store (fingerprint and banding
+	// parameters).
 	Store StoreConfig
 
 	// Strategy, Threshold, K, Workers and Check are the pipeline
@@ -255,50 +256,68 @@ func mergeable(f *ir.Function) bool {
 	return !f.IsDecl() && !f.Sig.Variadic
 }
 
-// SubmitModule parses, verifies, canonicalizes and indexes a module
-// under the given name. The returned info lists the indexed functions.
-// Fails with ErrModuleExists when the name is live.
-func (s *Server) SubmitModule(name, src string) (ModuleInfo, error) {
+// ingested is one module after the steps SubmitModule and Restore
+// share: its registry entry (canonical source and size cost, no
+// records yet) plus the names and signatures of its mergeable
+// functions, in module order.
+type ingested struct {
+	entry *moduleEntry
+	funcs []string
+	sigs  []fingerprint.MinHash
+}
+
+// ingest parses, verifies and canonicalizes src and fingerprints its
+// mergeable functions under st's configuration. Pure function work: it
+// takes no lock and changes no state.
+func ingest(st *Store, name, src string) (*ingested, error) {
 	if name == "" {
-		return ModuleInfo{}, fmt.Errorf("serve: empty module name")
+		return nil, fmt.Errorf("serve: empty module name")
 	}
 	mod, err := ir.ParseModule(src)
 	if err != nil {
-		return ModuleInfo{}, err
+		return nil, err
 	}
 	if err := ir.VerifyModule(mod); err != nil {
-		return ModuleInfo{}, err
+		return nil, err
 	}
 	// Canonical source: the merge stage re-parses this, and snapshots
 	// record it, so formatting quirks of the submitted text never leak
 	// into downstream state.
-	canon := ir.ModuleString(mod)
-
-	// Fingerprint outside the registry lock (pure function work).
-	type fp struct {
-		fn  string
-		sig []uint32
-	}
-	var fps []fp
+	in := &ingested{entry: &moduleEntry{name: name, src: ir.ModuleString(mod), cost: core.ModuleCost(mod)}}
 	for _, f := range mod.Funcs {
 		if mergeable(f) {
-			fps = append(fps, fp{fn: f.Name(), sig: s.Store().Fingerprint(f)})
+			in.funcs = append(in.funcs, f.Name())
+			in.sigs = append(in.sigs, st.Fingerprint(f))
 		}
 	}
+	return in, nil
+}
 
-	entry := &moduleEntry{name: name, src: canon, cost: core.ModuleCost(mod)}
-	info := ModuleInfo{Name: name, SizeCost: entry.cost}
+// index inserts the ingested functions into st, in module order, and
+// returns the completed registry entry. Callers serialize it with
+// other registry writes, so one module's ids are contiguous.
+func (in *ingested) index(st *Store) *moduleEntry {
+	for i, fn := range in.funcs {
+		in.entry.recs = append(in.entry.recs, st.Insert(in.entry.name, fn, in.sigs[i]))
+	}
+	return in.entry
+}
+
+// SubmitModule parses, verifies, canonicalizes and indexes a module
+// under the given name. The returned info lists the indexed functions.
+// Fails with ErrModuleExists when the name is live.
+func (s *Server) SubmitModule(name, src string) (ModuleInfo, error) {
+	in, err := ingest(s.Store(), name, src)
+	if err != nil {
+		return ModuleInfo{}, err
+	}
 
 	s.mu.Lock()
 	if _, dup := s.modules[name]; dup {
 		s.mu.Unlock()
 		return ModuleInfo{}, ErrModuleExists
 	}
-	for _, p := range fps {
-		rec := s.Store().Insert(name, p.fn, p.sig)
-		entry.recs = append(entry.recs, rec)
-		info.Funcs = append(info.Funcs, p.fn)
-	}
+	entry := in.index(s.Store())
 	s.modules[name] = entry
 	nmod := len(s.modules)
 	s.mu.Unlock()
@@ -307,7 +326,7 @@ func (s *Server) SubmitModule(name, src string) (ModuleInfo, error) {
 	s.mx.Counter("serve.funcs_indexed").Add(int64(len(entry.recs)))
 	s.mx.Gauge("serve.modules").Set(float64(nmod))
 	s.publishFuncGauge()
-	return info, nil
+	return ModuleInfo{Name: name, Funcs: in.funcs, SizeCost: entry.cost}, nil
 }
 
 // RemoveModule unindexes every function of the named module and drops
@@ -376,6 +395,9 @@ func (s *Server) Module(name string) (ModuleInfo, error) {
 // excluding the function itself.
 func (s *Server) QueryStored(module, fn string, minSim float64, k int) ([]Match, error) {
 	s.mu.RLock()
+	// Load the store under the registry lock: Restore swaps both under
+	// it, so rec.ID names an id of this store.
+	st := s.Store()
 	e, ok := s.modules[module]
 	var rec *FuncRecord
 	if ok {
@@ -393,7 +415,7 @@ func (s *Server) QueryStored(module, fn string, minSim float64, k int) ([]Match,
 	if rec == nil {
 		return nil, fmt.Errorf("%w: function %q in module %q", ErrNotFound, fn, module)
 	}
-	return s.Store().Query(rec.Sig, minSim, k, rec.ID), nil
+	return st.Query(rec.Sig, minSim, k, rec.ID), nil
 }
 
 // QueryIR finds near-duplicates of a function inside a submitted-inline

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,6 +126,35 @@ func TestEndpointErrors(t *testing.T) {
 	if st, _ := call(t, ts, "GET", "/v1/report", nil); st != http.StatusNotFound {
 		t.Fatalf("report before merge: status %d, want 404", st)
 	}
+	// A body one byte over the cap, streamed: a valid request followed
+	// by padding, so the cap is what refuses it.
+	head := `{"name":"big","ir":""}`
+	req, err := http.NewRequest("POST", ts.URL+"/v1/modules",
+		io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(head)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxBodyBytes + 1
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(body) != "too_large" {
+		t.Fatalf("oversized body: status %d code %q, want 413 too_large", resp.StatusCode, errCode(body))
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func TestShutdownDrainRefuses503(t *testing.T) {

@@ -5,36 +5,35 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"f3m/internal/core"
-	"f3m/internal/fingerprint"
-	"f3m/internal/ir"
 )
 
-// Snapshot format v1 (all integers little-endian):
+// Snapshot format v2 (all integers little-endian):
 //
-//	magic    [8]byte  "F3MSNAP1"
-//	version  u32      1
-//	config   u32 shards, u32 k, u32 shingle, u64 seed,
-//	         u32 rows, u32 bands, i64 bucketCap
-//	nmods    u32      module count (modules sorted by name)
-//	module*  str name, str canonicalIR,
-//	         u32 nfuncs, (i64 id, str func, u32 nlanes, u32* lanes)*
+//	magic    [8]byte  "F3MSNAP2"
+//	version  u32      2
+//	nmods    u32      module count
+//	module*  str name, str canonicalIR
 //	crc      u32      IEEE CRC-32 of everything above
 //
-// str = u32 length + raw bytes. The encoding is deterministic: the
-// same server state always serializes to the same bytes, so repeated
-// snapshots of a quiescent server are byte-identical (the round-trip
-// property test holds the format to this).
+// str = u32 length + raw bytes. Modules appear in submission order
+// (the order of their first record ids); modules with no mergeable
+// function follow, sorted by name. The file holds no derived data —
+// no ids, signatures or store parameters — so a restore rebuilds the
+// store from the modules alone, under the restoring server's own
+// configuration, and replaying them in submission order reproduces the
+// store's bucket order. The encoding is deterministic: repeated
+// snapshots of a quiescent server are byte-identical, and so is a
+// snapshot of the server a snapshot was restored into.
 
-// snapshotMagic identifies a v1 snapshot file.
-const snapshotMagic = "F3MSNAP1"
+// snapshotMagic identifies a v2 snapshot file.
+const snapshotMagic = "F3MSNAP2"
 
 // snapshotVersion is the current format version.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // SnapshotInfo describes a written snapshot.
 type SnapshotInfo struct {
@@ -65,8 +64,6 @@ type RestoreInfo struct {
 type snapEnc struct{ buf bytes.Buffer }
 
 func (e *snapEnc) u32(v uint32) { _ = binary.Write(&e.buf, binary.LittleEndian, v) }
-func (e *snapEnc) u64(v uint64) { _ = binary.Write(&e.buf, binary.LittleEndian, v) }
-func (e *snapEnc) i64(v int64)  { _ = binary.Write(&e.buf, binary.LittleEndian, v) }
 func (e *snapEnc) str(s string) { e.u32(uint32(len(s))); e.buf.WriteString(s) }
 
 // snapDec reads it back, tracking the first error.
@@ -103,27 +100,9 @@ func (d *snapDec) u32(what string) uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *snapDec) u64(what string) uint64 {
-	b := d.bytes(8, what)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *snapDec) i64(what string) int64 { return int64(d.u64(what)) }
-
 func (d *snapDec) str(what string) string {
 	n := d.u32(what + " length")
 	return string(d.bytes(int(n), what))
-}
-
-// snapRecord is one decoded function record during restore.
-type snapRecord struct {
-	id     int64
-	module string
-	fn     string
-	sig    fingerprint.MinHash
 }
 
 // resolvePath applies the configured default snapshot path.
@@ -137,57 +116,44 @@ func (s *Server) resolvePath(path string) (string, error) {
 	return path, nil
 }
 
-// Snapshot serializes the live state — store configuration, every
-// module's canonical IR and every indexed function record — to path
-// (empty path = the configured default), writing a temp file in the
-// destination directory and renaming it into place so a crash mid-write
-// never leaves a half-written snapshot behind.
+// Snapshot serializes every live module's name and canonical IR, in
+// submission order, to path (empty path = the configured default),
+// writing a temp file in the destination directory and renaming it
+// into place so a crash mid-write never leaves a half-written snapshot
+// behind.
 func (s *Server) Snapshot(path string) (SnapshotInfo, error) {
 	path, err := s.resolvePath(path)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
 
-	st := s.Store()
-	cfg := st.Config()
-
 	// Capture a consistent registry view. Entries and their records are
 	// immutable after submission, so the read lock over the map copy is
 	// the only synchronization needed.
 	s.mu.RLock()
-	epoch := st.Epoch()
+	epoch := s.Store().Epoch()
 	entries := make([]*moduleEntry, 0, len(s.modules))
-	for _, e := range s.modules { // lintmap:ignore collected then sorted by name below
+	for _, e := range s.modules { // lintmap:ignore collected then sorted by submission order below
 		entries = append(entries, e)
 	}
 	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := firstID(entries[i]), firstID(entries[j])
+		if a != b {
+			return a < b
+		}
+		return entries[i].name < entries[j].name
+	})
 
 	var enc snapEnc
 	enc.buf.WriteString(snapshotMagic)
 	enc.u32(snapshotVersion)
-	enc.u32(uint32(cfg.Shards))
-	enc.u32(uint32(cfg.K))
-	enc.u32(uint32(cfg.ShingleSize))
-	enc.u64(cfg.Seed)
-	enc.u32(uint32(cfg.Rows))
-	enc.u32(uint32(cfg.Bands))
-	enc.i64(int64(cfg.BucketCap))
 	enc.u32(uint32(len(entries)))
 	nfuncs := 0
 	for _, e := range entries {
 		enc.str(e.name)
 		enc.str(e.src)
-		enc.u32(uint32(len(e.recs)))
-		for _, r := range e.recs {
-			enc.i64(r.ID)
-			enc.str(r.Func)
-			enc.u32(uint32(len(r.Sig)))
-			for _, lane := range r.Sig {
-				enc.u32(lane)
-			}
-			nfuncs++
-		}
+		nfuncs += len(e.recs)
 	}
 	enc.u32(crc32.ChecksumIEEE(enc.buf.Bytes()))
 
@@ -221,13 +187,24 @@ func (s *Server) Snapshot(path string) (SnapshotInfo, error) {
 	}, nil
 }
 
+// firstID is a module's submission position: the id of its first
+// record (SubmitModule allocates a module's ids contiguously), or
+// MaxInt64 for a module with no mergeable function.
+func firstID(e *moduleEntry) int64 {
+	if len(e.recs) == 0 {
+		return math.MaxInt64
+	}
+	return e.recs[0].ID
+}
+
 // Restore replaces the server's entire state — module registry and
 // similarity store — with the contents of a snapshot file. The restore
-// is all-or-nothing: the snapshot is fully decoded, CRC-checked,
-// re-parsed, re-verified and re-fingerprinted into a fresh store before
-// the live state is swapped, so a corrupt or tampered file leaves the
-// server untouched. The snapshot's store configuration must match the
-// server's (fingerprints under different parameters are incomparable).
+// is all-or-nothing: the file is CRC-checked and decoded, and every
+// module is replayed through SubmitModule's ingest steps (parse,
+// verify, canonicalize, fingerprint under this server's StoreConfig)
+// into a fresh registry and store before both are swapped in, so a
+// corrupt or tampered file leaves the server untouched. No store
+// parameters need to match the server that wrote the snapshot.
 func (s *Server) Restore(path string) (RestoreInfo, error) {
 	path, err := s.resolvePath(path)
 	if err != nil {
@@ -237,153 +214,68 @@ func (s *Server) Restore(path string) (RestoreInfo, error) {
 	if err != nil {
 		return RestoreInfo{}, fmt.Errorf("serve: restore: %w", err)
 	}
-
-	modules, records, err := decodeSnapshot(data, s.Store().Config())
+	mods, err := decodeSnapshot(data)
 	if err != nil {
 		return RestoreInfo{}, err
 	}
 
-	// Build the replacement store off-line, replaying records in
-	// ascending id order so shard state is rebuilt deterministically.
-	// The decoded moduleEntry.recs carry identical field values, so they
-	// remain valid handles for later removal.
-	fresh := NewStore(s.Store().Config())
-	sort.Slice(records, func(i, j int) bool { return records[i].id < records[j].id })
-	var maxID int64 = -1
-	for _, r := range records {
-		fresh.insertAt(r.id, r.module, r.fn, r.sig)
-		if r.id > maxID {
-			maxID = r.id
+	fresh := NewStore(s.cfg.Store)
+	modules := make(map[string]*moduleEntry, len(mods))
+	nfuncs := 0
+	for _, m := range mods {
+		if _, dup := modules[m.name]; dup {
+			return RestoreInfo{}, fmt.Errorf("serve: corrupt snapshot: duplicate module name %q", m.name)
 		}
+		in, err := ingest(fresh, m.name, m.src)
+		if err != nil {
+			return RestoreInfo{}, fmt.Errorf("serve: corrupt snapshot: module %q: %w", m.name, err)
+		}
+		modules[m.name] = in.index(fresh)
+		nfuncs += len(in.funcs)
 	}
-	fresh.nextID.Store(maxID + 1)
 
 	s.mu.Lock()
-	s.modules = make(map[string]*moduleEntry, len(modules))
-	for _, e := range modules {
-		s.modules[e.name] = e
-	}
+	s.modules = modules
 	s.store.Store(fresh)
-	nmod := len(s.modules)
 	s.mu.Unlock()
 
 	s.mx.Counter("serve.restores").Inc()
-	s.mx.Gauge("serve.modules").Set(float64(nmod))
+	s.mx.Gauge("serve.modules").Set(float64(len(modules)))
 	s.publishFuncGauge()
-	return RestoreInfo{Path: path, Modules: nmod, Funcs: len(records)}, nil
+	return RestoreInfo{Path: path, Modules: len(modules), Funcs: nfuncs}, nil
 }
 
-// decodeSnapshot parses, CRC-checks and integrity-verifies snapshot
-// bytes against the given store configuration. Each module's canonical
-// IR is re-parsed and verified, and every recorded signature is
-// recomputed from the parsed function and compared lane-for-lane — a
-// snapshot whose signatures disagree with its own IR is rejected, not
-// silently trusted.
-func decodeSnapshot(data []byte, want StoreConfig) ([]*moduleEntry, []snapRecord, error) {
+// snapModule is one decoded (name, canonical IR) pair.
+type snapModule struct{ name, src string }
+
+// decodeSnapshot checks the magic, version and CRC of snapshot bytes
+// and returns the modules in file order.
+func decodeSnapshot(data []byte) ([]snapModule, error) {
 	if len(data) < len(snapshotMagic)+8 {
-		return nil, nil, fmt.Errorf("serve: corrupt snapshot: too short (%d bytes)", len(data))
+		return nil, fmt.Errorf("serve: corrupt snapshot: too short (%d bytes)", len(data))
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("serve: corrupt snapshot: bad magic %q", data[:len(snapshotMagic)])
+	if magic := string(data[:len(snapshotMagic)]); magic != snapshotMagic {
+		return nil, fmt.Errorf("serve: unsupported snapshot format %q (this server reads %q)", magic, snapshotMagic)
 	}
 	body, footer := data[:len(data)-4], data[len(data)-4:]
-	if got, wantCRC := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(footer); got != wantCRC {
-		return nil, nil, fmt.Errorf("serve: corrupt snapshot: CRC mismatch (file %08x, computed %08x)", wantCRC, got)
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(footer); got != want {
+		return nil, fmt.Errorf("serve: corrupt snapshot: CRC mismatch (file %08x, computed %08x)", want, got)
 	}
 
 	d := &snapDec{data: body, off: len(snapshotMagic)}
 	if v := d.u32("version"); d.err == nil && v != snapshotVersion {
-		return nil, nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", v, snapshotVersion)
+		return nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", v, snapshotVersion)
 	}
-	got := StoreConfig{
-		Shards:      int(d.u32("shards")),
-		K:           int(d.u32("k")),
-		ShingleSize: int(d.u32("shingle size")),
-		Seed:        d.u64("seed"),
-		Rows:        int(d.u32("rows")),
-		Bands:       int(d.u32("bands")),
-		BucketCap:   int(d.i64("bucket cap")),
-	}
-	if d.err == nil && got != want {
-		return nil, nil, fmt.Errorf("serve: snapshot store config %+v does not match server config %+v", got, want)
-	}
-
-	mh := (&fingerprint.Config{K: want.K, ShingleSize: want.ShingleSize, Seed: want.Seed}).Prepare()
-
 	nmods := int(d.u32("module count"))
-	var (
-		modules []*moduleEntry
-		records []snapRecord
-		seenMod = map[string]bool{}
-		seenID  = map[int64]bool{}
-	)
+	var mods []snapModule
 	for i := 0; i < nmods && d.err == nil; i++ {
-		name := d.str("module name")
-		src := d.str("module IR")
-		if d.err != nil {
-			break
-		}
-		if name == "" || seenMod[name] {
-			return nil, nil, fmt.Errorf("serve: corrupt snapshot: duplicate or empty module name %q", name)
-		}
-		seenMod[name] = true
-
-		mod, err := ir.ParseModule(src)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: corrupt snapshot: module %q does not parse: %w", name, err)
-		}
-		if err := ir.VerifyModule(mod); err != nil {
-			return nil, nil, fmt.Errorf("serve: corrupt snapshot: module %q does not verify: %w", name, err)
-		}
-
-		entry := &moduleEntry{name: name, src: src, cost: core.ModuleCost(mod)}
-		nfuncs := int(d.u32("function count"))
-		for j := 0; j < nfuncs && d.err == nil; j++ {
-			id := d.i64("function id")
-			fn := d.str("function name")
-			nlanes := int(d.u32("signature length"))
-			sig := make(fingerprint.MinHash, 0, nlanes)
-			for l := 0; l < nlanes && d.err == nil; l++ {
-				sig = append(sig, d.u32("signature lane"))
-			}
-			if d.err != nil {
-				break
-			}
-			if id < 0 || seenID[id] {
-				return nil, nil, fmt.Errorf("serve: corrupt snapshot: duplicate or negative function id %d", id)
-			}
-			seenID[id] = true
-			f := mod.Func(fn)
-			if f == nil || !mergeable(f) {
-				return nil, nil, fmt.Errorf("serve: corrupt snapshot: record for %s.%s names no mergeable function", name, fn)
-			}
-			fresh := mh.New(fingerprint.EncodeFuncStable(f))
-			if !sigEqual(fresh, sig) {
-				return nil, nil, fmt.Errorf("serve: corrupt snapshot: signature of %s.%s does not match its IR", name, fn)
-			}
-			entry.recs = append(entry.recs, &FuncRecord{ID: id, Module: name, Func: fn, Sig: sig})
-			records = append(records, snapRecord{id: id, module: name, fn: fn, sig: sig})
-		}
-		modules = append(modules, entry)
+		mods = append(mods, snapModule{name: d.str("module name"), src: d.str("module IR")})
 	}
 	if d.err != nil {
-		return nil, nil, d.err
+		return nil, d.err
 	}
 	if d.off != len(body) {
-		return nil, nil, fmt.Errorf("serve: corrupt snapshot: %d trailing bytes", len(body)-d.off)
+		return nil, fmt.Errorf("serve: corrupt snapshot: %d trailing bytes", len(body)-d.off)
 	}
-	return modules, records, nil
-}
-
-// sigEqual compares two signatures lane-for-lane.
-func sigEqual(a, b fingerprint.MinHash) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return mods, nil
 }

@@ -7,13 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // buildCorpus submits n synthetic modules sequentially (sequential
 // submission pins the store's insertion order, which is what makes the
 // re-snapshot byte-identity assertion below meaningful).
-func buildCorpus(t *testing.T, srv *Server, n int) {
+func buildCorpus(t testing.TB, srv *Server, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		src := genModule(int64(10+i), fmt.Sprintf("m%d_", i))
@@ -154,20 +155,105 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreConfigMismatch refuses snapshots from differently
-// parameterized stores: their fingerprints would be incomparable.
-func TestRestoreConfigMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "k64.snap")
+// TestRestoreKeepsCappedQueries: with a bucket cap of 1, which
+// candidate a query sees depends on bucket order, that is on insertion
+// order. Modules submitted out of name order must come back from a
+// restore in submission order, so every capped query answers as
+// before.
+func TestRestoreKeepsCappedQueries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capped.snap")
 	cfg := DefaultConfig()
-	cfg.Store.K = 64
+	cfg.Store.BucketCap = 1
 	orig := NewServer(cfg)
-	buildCorpus(t, orig, 1)
+	for i := 3; i >= 0; i-- {
+		src := genModule(int64(10+i), fmt.Sprintf("m%d_", i))
+		if _, err := orig.SubmitModule(fmt.Sprintf("mod-%02d", i), src); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := orig.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(DefaultConfig()) // default K=200
-	if _, err := srv.Restore(path); err == nil {
-		t.Fatal("restore across store configs succeeded, want config-mismatch error")
+	fresh := NewServer(cfg)
+	if _, err := fresh.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, mi := range orig.Modules() {
+		for _, fn := range mi.Funcs {
+			a, err := orig.QueryStored(mi.Name, fn, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fresh.QueryStored(mi.Name, fn, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("capped query %s.%s differs after restore:\n%+v\nvs\n%+v", mi.Name, fn, a, b)
+			}
+		}
+	}
+}
+
+// TestRestoreAcrossStoreConfig: snapshots carry no store parameters,
+// so a snapshot written by a K=64 server restores into a default
+// (K=200) server, whose queries then answer exactly as those of a
+// default server that received the same submissions directly.
+func TestRestoreAcrossStoreConfig(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k64.snap")
+	cfg := DefaultConfig()
+	cfg.Store.K = 64
+	k64 := NewServer(cfg)
+	buildCorpus(t, k64, 3)
+	if _, err := k64.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := NewServer(DefaultConfig())
+	if _, err := restored.Restore(path); err != nil {
+		t.Fatalf("restore of a K=64 snapshot into a K=200 server: %v", err)
+	}
+	direct := NewServer(DefaultConfig())
+	buildCorpus(t, direct, 3)
+
+	if !reflect.DeepEqual(direct.Modules(), restored.Modules()) {
+		t.Fatalf("module registries differ:\n%+v\nvs\n%+v", direct.Modules(), restored.Modules())
+	}
+	queried := 0
+	for _, mi := range direct.Modules() {
+		for _, fn := range mi.Funcs {
+			a, err := direct.QueryStored(mi.Name, fn, 0.2, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := restored.QueryStored(mi.Name, fn, 0.2, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("query %s.%s: direct %+v, restored %+v", mi.Name, fn, a, b)
+			}
+			queried++
+		}
+	}
+	if queried == 0 {
+		t.Fatal("corpus has no indexed functions to query")
+	}
+}
+
+// TestRestoreRefusesV1: a snapshot in the retired v1 format (which
+// stored ids, signatures and a store-config header) is refused with a
+// version error, and the server keeps its state.
+func TestRestoreRefusesV1(t *testing.T) {
+	srv := NewServer(DefaultConfig())
+	buildCorpus(t, srv, 1)
+	before := srv.Modules()
+	_, err := srv.Restore(filepath.Join("testdata", "v1.snap"))
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format \"F3MSNAP1\"") {
+		t.Fatalf("restore of a v1 snapshot: err = %v, want an unsupported-format error", err)
+	}
+	if !reflect.DeepEqual(srv.Modules(), before) {
+		t.Fatal("refused v1 restore mutated server state")
 	}
 }
 

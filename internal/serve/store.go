@@ -3,23 +3,19 @@ package serve
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"f3m/internal/fingerprint"
 	"f3m/internal/ir"
 	"f3m/internal/lsh"
 )
 
-// StoreConfig fixes the similarity store's shape: the shard count and
-// the fingerprint/banding parameters shared by every function it will
-// ever hold (fingerprints from different parameter sets are not
-// comparable, so these are immutable for the store's lifetime and are
-// recorded in snapshots).
+// StoreConfig fixes the fingerprint/banding parameters shared by every
+// function the store will ever hold (fingerprints from different
+// parameter sets are not comparable, so these are immutable for the
+// store's lifetime). Snapshots do not record them: a restore
+// re-fingerprints every module under the restoring store's own
+// configuration.
 type StoreConfig struct {
-	// Shards is the number of independently locked index shards.
-	// Zero means DefaultShards.
-	Shards int
-
 	// K is the MinHash fingerprint size (0 = 200, the paper default).
 	K int
 
@@ -37,14 +33,8 @@ type StoreConfig struct {
 	BucketCap int
 }
 
-// DefaultShards is the shard count used when StoreConfig.Shards is 0.
-const DefaultShards = 8
-
 // withDefaults resolves zero fields to their defaults.
 func (c StoreConfig) withDefaults() StoreConfig {
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.K == 0 {
 		c.K = 200
 	}
@@ -63,8 +53,9 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	return c
 }
 
-// FuncRecord is one indexed function: its global id, owning module,
-// function name and MinHash signature (over the stable encoding).
+// FuncRecord is one indexed function: its id (also its LSH id), owning
+// module, function name and MinHash signature (over the stable
+// encoding).
 type FuncRecord struct {
 	ID           int64
 	Module, Func string
@@ -81,7 +72,7 @@ type Match struct {
 	Similarity float64 `json:"similarity"`
 }
 
-// StoreStats is a point-in-time aggregate over all shards.
+// StoreStats is a point-in-time view of the store.
 type StoreStats struct {
 	// Funcs is the number of live indexed functions.
 	Funcs int
@@ -89,55 +80,43 @@ type StoreStats struct {
 	// Epoch is the mutation counter (see Store.Epoch).
 	Epoch uint64
 
-	// LSH sums the per-shard index counters.
+	// LSH holds the index counters.
 	LSH lsh.IndexStats
 }
 
-// shard is one lock domain: an LSH index plus the records inserted
-// into it, keyed by shard-local id. Writers (insert, remove) hold mu
-// exclusively; readers query through lsh.PeekCandidates, which is
-// documented safe for any number of concurrent calls as long as no
-// mutation runs — exactly what the RLock guarantees.
-type shard struct {
-	mu   sync.RWMutex
-	ix   *lsh.Index
-	recs map[int64]*FuncRecord
-}
-
-// Store is the sharded, concurrently readable similarity store: the
-// long-lived "LSH database" the serving layer exposes. Function ids are
-// allocated from one atomic counter; id i lives in shard i%S under
-// shard-local id i/S, so each shard's dense LSH id space stays compact.
+// Store is the concurrently readable similarity store: the long-lived
+// "LSH database" the serving layer exposes. It is one lsh.Index plus
+// the records inserted into it, keyed by id, behind one RWMutex, so
+// every query sees one bucket cap per bucket exactly as the pipeline's
+// ranking does. Ids are allocated in insertion order and double as LSH
+// ids.
 //
-// Concurrency contract: Query may run from any number of goroutines
-// concurrently with itself and with Insert/Remove (per-shard RWMutexes
-// serialize conflicting access; non-conflicting shards proceed in
-// parallel). Cross-shard queries are not a consistent snapshot — a
-// concurrent insert may be visible in one shard and not yet in another
-// — which is the documented eventual-consistency model of the service.
+// Concurrency contract: Insert and Remove hold mu exclusively; Query
+// and Stats hold it shared and read the index only through
+// lsh.PeekCandidates, which is documented safe for any number of
+// concurrent calls while no mutation runs. Every read therefore sees a
+// consistent store.
 type Store struct {
-	cfg    StoreConfig
-	mh     *fingerprint.Config
-	shards []*shard
-	nextID atomic.Int64
-	epoch  atomic.Uint64
+	cfg StoreConfig
+	mh  *fingerprint.Config
+
+	mu     sync.RWMutex
+	ix     *lsh.Index
+	recs   map[int64]*FuncRecord
+	nextID int64
+	epoch  uint64
 }
 
 // NewStore returns an empty store with the given configuration
 // (zero fields resolve to defaults).
 func NewStore(cfg StoreConfig) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{
-		cfg: cfg,
-		mh:  (&fingerprint.Config{K: cfg.K, ShingleSize: cfg.ShingleSize, Seed: cfg.Seed}).Prepare(),
+	return &Store{
+		cfg:  cfg,
+		mh:   (&fingerprint.Config{K: cfg.K, ShingleSize: cfg.ShingleSize, Seed: cfg.Seed}).Prepare(),
+		ix:   lsh.NewIndex(lsh.Params{Rows: cfg.Rows, Bands: cfg.Bands, BucketCap: cfg.BucketCap}),
+		recs: make(map[int64]*FuncRecord),
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{
-			ix:   lsh.NewIndex(lsh.Params{Rows: cfg.Rows, Bands: cfg.Bands, BucketCap: cfg.BucketCap}),
-			recs: make(map[int64]*FuncRecord),
-		})
-	}
-	return s
 }
 
 // Config returns the resolved store configuration.
@@ -149,45 +128,30 @@ func (s *Store) Fingerprint(f *ir.Function) fingerprint.MinHash {
 	return s.mh.New(fingerprint.EncodeFuncStable(f))
 }
 
-// shardOf maps a global id to its shard and shard-local id.
-func (s *Store) shardOf(id int64) (*shard, int64) {
-	n := int64(len(s.shards))
-	return s.shards[id%n], id / n
-}
-
-// Insert indexes sig under a freshly allocated id and returns the
-// record. Safe for concurrent use.
+// Insert indexes sig under the next id and returns the record. Safe
+// for concurrent use.
 func (s *Store) Insert(module, fn string, sig fingerprint.MinHash) *FuncRecord {
-	return s.insertAt(s.nextID.Add(1)-1, module, fn, sig)
-}
-
-// insertAt indexes sig under an explicit global id — the restore path,
-// which replays a snapshot's records in ascending id order so shard
-// state is rebuilt deterministically. Callers other than restore must
-// go through Insert.
-func (s *Store) insertAt(id int64, module, fn string, sig fingerprint.MinHash) *FuncRecord {
-	rec := &FuncRecord{ID: id, Module: module, Func: fn, Sig: sig}
-	sh, local := s.shardOf(id)
-	sh.mu.Lock()
-	sh.ix.Insert(int(local), sig)
-	sh.recs[local] = rec
-	sh.mu.Unlock()
-	s.epoch.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := &FuncRecord{ID: s.nextID, Module: module, Func: fn, Sig: sig}
+	s.nextID++
+	s.ix.Insert(int(rec.ID), sig)
+	s.recs[rec.ID] = rec
+	s.epoch++
 	return rec
 }
 
-// Remove unindexes a previously inserted record. Safe for concurrent
-// use; removing a record twice is a no-op for the index but must be
-// avoided (the LSH index removes by id+signature).
+// Remove unindexes a record this store returned from Insert. Safe for
+// concurrent use; removing a record twice, or a record of another
+// store (one replaced by a restore), is a no-op.
 func (s *Store) Remove(rec *FuncRecord) {
-	sh, local := s.shardOf(rec.ID)
-	sh.mu.Lock()
-	if _, live := sh.recs[local]; live {
-		sh.ix.Remove(int(local), rec.Sig)
-		delete(sh.recs, local)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.recs[rec.ID] == rec {
+		s.ix.Remove(int(rec.ID), rec.Sig)
+		delete(s.recs, rec.ID)
 	}
-	sh.mu.Unlock()
-	s.epoch.Add(1)
+	s.epoch++
 }
 
 // Query returns up to k indexed functions whose signature shares at
@@ -198,24 +162,15 @@ func (s *Store) Remove(rec *FuncRecord) {
 // results; pass a negative id to exclude nothing. k <= 0 means
 // unlimited. Safe for any number of concurrent callers.
 func (s *Store) Query(sig fingerprint.MinHash, minSim float64, k int, excludeID int64) []Match {
-	var out []Match
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		accept := func(local int) bool {
-			rec := sh.recs[int64(local)]
-			return rec != nil && rec.ID != excludeID
-		}
-		// Per-shard k: the global cut happens after the sort below.
-		cands := sh.ix.PeekCandidates(-1, sig, minSim, accept, k)
-		for _, c := range cands {
-			rec := sh.recs[int64(c.ID)]
-			if rec == nil {
-				continue
-			}
-			out = append(out, Match{Module: rec.Module, Func: rec.Func, Similarity: c.Similarity})
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	// Unlimited here: the k cut happens after the name-ordered sort.
+	cands := s.ix.PeekCandidates(int(excludeID), sig, minSim, nil, 0)
+	out := make([]Match, len(cands))
+	for i, c := range cands {
+		rec := s.recs[int64(c.ID)]
+		out[i] = Match{Module: rec.Module, Func: rec.Func, Similarity: c.Similarity}
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Similarity != b.Similarity {
@@ -234,29 +189,17 @@ func (s *Store) Query(sig fingerprint.MinHash, minSim float64, k int, excludeID 
 
 // Epoch returns the store's mutation counter: it increments on every
 // insert and removal, so two equal epochs observed around a read prove
-// the read saw a quiescent store. Advisory — cross-shard reads are
-// still only eventually consistent while mutations are in flight.
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
+// the read saw a quiescent store.
+func (s *Store) Epoch() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.epoch
+}
 
-// Stats aggregates live-function counts and LSH counters across
-// shards. It takes each shard's read lock in turn, so the totals are
-// per-shard consistent but not a cross-shard snapshot.
+// Stats returns the live-function count, the epoch and the LSH
+// counters, all read under one lock.
 func (s *Store) Stats() StoreStats {
-	var st StoreStats
-	st.Epoch = s.Epoch()
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		st.Funcs += len(sh.recs)
-		ls := sh.ix.Stats()
-		sh.mu.RUnlock()
-		st.LSH.Inserted += ls.Inserted
-		st.LSH.BucketsUsed += ls.BucketsUsed
-		if ls.MaxBucketLoad > st.LSH.MaxBucketLoad {
-			st.LSH.MaxBucketLoad = ls.MaxBucketLoad
-		}
-		st.LSH.Comparisons += ls.Comparisons
-		st.LSH.CapSkips += ls.CapSkips
-		st.LSH.CandidatesFound += ls.CandidatesFound
-	}
-	return st
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return StoreStats{Funcs: len(s.recs), Epoch: s.epoch, LSH: s.ix.Stats()}
 }

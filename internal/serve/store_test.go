@@ -27,9 +27,8 @@ func testSigs(t *testing.T, cfg StoreConfig, n int) []fingerprint.MinHash {
 }
 
 func TestStoreInsertQueryRemove(t *testing.T) {
-	cfg := StoreConfig{Shards: 4}
-	st := NewStore(cfg)
-	sigs := testSigs(t, cfg, 3)
+	st := NewStore(StoreConfig{})
+	sigs := testSigs(t, StoreConfig{}, 3)
 
 	// Two copies of sig 0 under different names, one distinct function.
 	a := st.Insert("m1", "f_a", sigs[0])
@@ -51,7 +50,7 @@ func TestStoreInsertQueryRemove(t *testing.T) {
 		t.Fatalf("query without exclusion: got %+v", got)
 	}
 
-	// k truncates after the global sort.
+	// k truncates after the name-ordered sort.
 	if got := st.Query(sigs[0], 0.99, 1, -1); len(got) != 1 || got[0].Module != "m1" {
 		t.Fatalf("k=1 query: got %+v", got)
 	}
@@ -85,11 +84,10 @@ func TestStoreEpochAdvances(t *testing.T) {
 
 // TestStoreConcurrent hammers one store from many goroutines mixing
 // inserts, queries and removals; run with -race this is the lock
-// discipline check for the per-shard RWMutex design.
+// discipline check for the store's RWMutex.
 func TestStoreConcurrent(t *testing.T) {
-	cfg := StoreConfig{Shards: 4}
-	st := NewStore(cfg)
-	sigs := testSigs(t, cfg, 8)
+	st := NewStore(StoreConfig{})
+	sigs := testSigs(t, StoreConfig{}, 8)
 
 	const workers = 8
 	const rounds = 50

@@ -43,7 +43,7 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
+func (p *parser) cur() token { return p.toks[p.i] }
 func (p *parser) peek() token { // second token of lookahead (EOF-safe)
 	if p.i+1 < len(p.toks) {
 		return p.toks[p.i+1]

@@ -10,6 +10,16 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l"
+# Every Go file must be gofmt-clean; any file gofmt would rewrite is
+# listed and fails the gate.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt would rewrite:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -134,5 +144,9 @@ go test -run '^$' -fuzz '^FuzzIRParseRoundTrip$' -fuzztime "${FUZZTIME:-5s}" ./i
 go test -run '^$' -fuzz '^FuzzMinicParser$' -fuzztime "${FUZZTIME:-5s}" ./internal/minic
 go test -run '^$' -fuzz '^FuzzFingerprintEncode$' -fuzztime "${FUZZTIME:-5s}" ./internal/fingerprint
 go test -run '^$' -fuzz '^FuzzWatParseRoundTrip$' -fuzztime "${FUZZTIME:-5s}" ./internal/wat
+# These two seed with multi-kilobyte files, which the default minimizer
+# would spend the whole smoke budget shrinking.
+go test -run '^$' -fuzz '^FuzzSummaryDecode$' -fuzztime "${FUZZTIME:-5s}" -fuzzminimizetime 10x ./internal/analysis/summary
+go test -run '^$' -fuzz '^FuzzSnapshotRestore$' -fuzztime "${FUZZTIME:-5s}" -fuzzminimizetime 10x ./internal/serve
 
 echo "ok"
