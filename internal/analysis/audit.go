@@ -10,6 +10,12 @@ import (
 // CheckerMergeAudit names the merge auditor in diagnostics.
 const CheckerMergeAudit = "merge-audit"
 
+// afterIndexUpdate, when non-nil, runs in every AuditCommit right
+// after the reference index is brought up to date. Tests install it to
+// compare the live index with a rebuilt one at every commit of a real
+// pipeline run.
+var afterIndexUpdate func(*Manager, *ir.Module)
+
 // AuditCommit statically validates one committed merge against the
 // module, proving the properties whose silent violation is exactly the
 // bug class the paper's Section III-E fixes chase:
@@ -27,22 +33,32 @@ const CheckerMergeAudit = "merge-audit"
 //   - every remaining direct call of the merged function passes the
 //     full merged parameter list, discriminator first.
 //
-// The module-wide reference scan is one linear walk; it also catches
-// dangling references to functions deleted by earlier commits.
+// The reference checks read the Manager's live reference index (see
+// refIndex). A module's first audit builds it in one walk and scans
+// every function; each later audit re-indexes and scans only the
+// functions the commit touched — the merged function, both originals
+// and info.Callers — plus every remaining referrer of a function
+// missing from the module. Its cost is proportional to the commit, not
+// to the module. Dangling references to functions deleted by earlier
+// commits are re-reported while they last. The index trusts the
+// commit's declared footprint: a body changed outside it is re-indexed
+// only when a later commit touches it, and StrictVerify, which walks
+// the whole module, is the net for such mutations.
 func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics {
 	// A commit touches a known set of functions: the merged one is new,
 	// the originals were thunked or deleted, and CommitInfo.Callers had
 	// call sites rewritten in place. Invalidating exactly that set keeps
-	// every other function's cached facts live across the commit. The
-	// call graph has new edges module-wide, so it is always dropped.
+	// every other function's cached facts live across the commit.
 	mgr.Invalidate(info.Merged)
 	mgr.Invalidate(info.A.Fn)
 	mgr.Invalidate(info.B.Fn)
 	for _, caller := range info.Callers {
 		mgr.Invalidate(caller)
 	}
-	mgr.cg = nil
-	mgr.cgMod = nil
+	scope := mgr.auditScope(m, info)
+	if afterIndexUpdate != nil {
+		afterIndexUpdate(mgr, m)
+	}
 
 	var ds Diagnostics
 	errf := func(fn, blk, instr, format string, args ...any) {
@@ -68,11 +84,11 @@ func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics
 	ds = append(ds, auditSide(m, g, info.A, true)...)
 	ds = append(ds, auditSide(m, g, info.B, false)...)
 
-	// One walk over the module: dangling function references (the
-	// deleted originals, or leftovers of earlier commits) and the shape
-	// of every call site that targets the merged function.
-	cg := mgr.CallGraphOf(m)
-	for _, f := range m.Funcs {
+	// Dangling function references (the deleted originals, or leftovers
+	// of earlier commits) and the shape of every call site that targets
+	// the merged function; a call of a function created by this commit
+	// can only sit in a function the commit touched.
+	for _, f := range scope {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for i, op := range in.Operands {
@@ -81,7 +97,7 @@ func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics
 						continue
 					}
 					isCallee := (in.Op == ir.OpCall || in.Op == ir.OpInvoke) && i == 0
-					if !cg.Present[callee] {
+					if !present(m, callee) {
 						kind := "reference to"
 						if isCallee {
 							kind = "call site still targets"

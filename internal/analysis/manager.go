@@ -53,10 +53,6 @@ type CallGraph struct {
 
 	// AddressTaken marks functions referenced outside a callee slot.
 	AddressTaken map[*ir.Function]bool
-
-	// Present is the membership set of the module's function list, the
-	// reference the dangling checks compare against.
-	Present map[*ir.Function]bool
 }
 
 // Manager computes and caches analysis facts. It is not safe for
@@ -67,6 +63,9 @@ type Manager struct {
 	funcs map[*ir.Function]*FuncFacts
 	cg    *CallGraph
 	cgMod *ir.Module
+
+	// refs is the merge auditor's live reference index (see refIndex).
+	refs *refIndex
 }
 
 // NewManager returns an empty fact cache.
@@ -133,8 +132,11 @@ func (mgr *Manager) Invalidate(f *ir.Function) {
 	delete(mgr.funcs, f)
 }
 
-// CallGraphOf returns the module call graph, cached until
-// InvalidateModule. Switching modules invalidates implicitly.
+// CallGraphOf returns the module call graph, built on first use and
+// cached for that module; switching modules rebuilds it. The cache is
+// not invalidated when the module changes, so it serves readers of an
+// unchanging module (summary extraction); the merge auditor keeps its
+// own live index and the strict verifier builds a fresh membership set.
 func (mgr *Manager) CallGraphOf(m *ir.Module) *CallGraph {
 	if mgr.cg != nil && mgr.cgMod == m {
 		return mgr.cg
@@ -142,15 +144,6 @@ func (mgr *Manager) CallGraphOf(m *ir.Module) *CallGraph {
 	mgr.cg = buildCallGraph(m)
 	mgr.cgMod = m
 	return mgr.cg
-}
-
-// InvalidateModule drops the call graph and every per-function fact;
-// the merge auditor calls it after each commit, which rewrites call
-// sites in arbitrary functions.
-func (mgr *Manager) InvalidateModule() {
-	mgr.cg = nil
-	mgr.cgMod = nil
-	clear(mgr.funcs)
 }
 
 func computeFuncFacts(f *ir.Function) *FuncFacts {
@@ -182,10 +175,6 @@ func buildCallGraph(m *ir.Module) *CallGraph {
 		Callees:      make(map[*ir.Function][]*ir.Function),
 		Callers:      make(map[*ir.Function][]*ir.Function),
 		AddressTaken: make(map[*ir.Function]bool),
-		Present:      make(map[*ir.Function]bool, len(m.Funcs)),
-	}
-	for _, f := range m.Funcs {
-		cg.Present[f] = true
 	}
 	for _, f := range m.Funcs {
 		seen := make(map[*ir.Function]bool)

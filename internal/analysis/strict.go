@@ -19,10 +19,13 @@ const CheckerStrictVerify = "strict-verify"
 // could miscompile silently.
 func StrictVerify(mgr *Manager, m *ir.Module) Diagnostics {
 	var ds Diagnostics
-	cg := mgr.CallGraphOf(m)
-
+	// A fresh membership set on every call: this pass is the net for
+	// any mutation outside a commit's declared footprint, so it trusts
+	// no state kept across commits.
+	inModule := make(map[*ir.Function]bool, len(m.Funcs))
 	seen := make(map[string]int, len(m.Funcs))
 	for _, f := range m.Funcs {
+		inModule[f] = true
 		seen[f.Name()]++
 	}
 	// Sorted emission: diagnostics join the rendered report, which must
@@ -55,7 +58,7 @@ func StrictVerify(mgr *Manager, m *ir.Module) Diagnostics {
 			for _, in := range b.Instrs {
 				for i, op := range in.Operands {
 					callee, ok := op.(*ir.Function)
-					if !ok || cg.Present[callee] {
+					if !ok || inModule[callee] {
 						continue
 					}
 					kind := "reference to"

@@ -18,8 +18,11 @@ const (
 
 	// CheckFast audits every committed merge as it lands: thunk
 	// signatures and argument forwarding, discriminator channeling,
-	// call-site rewrites and dangling references. Cost is proportional
-	// to merges, not module size.
+	// call-site rewrites and dangling references. One module walk at
+	// the first commit builds the auditor's reference index; after
+	// that each audit costs O(functions the commit touched + referrers
+	// of the originals it deleted), so the total is proportional to
+	// merges, not to merges times module size.
 	CheckFast
 
 	// CheckStrict is CheckFast plus full-module analysis before and

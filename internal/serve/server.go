@@ -83,6 +83,11 @@ type moduleEntry struct {
 	src  string
 	cost int
 	recs []*FuncRecord
+
+	// seq is the module's submission position, the order snapshots
+	// replay modules in (store ids are reused, so they do not record
+	// it).
+	seq uint64
 }
 
 // ModuleInfo describes one live module to API clients.
@@ -166,6 +171,7 @@ type Server struct {
 
 	mu      sync.RWMutex
 	modules map[string]*moduleEntry
+	nextSeq uint64 // next moduleEntry.seq, guarded by mu
 
 	// mergeMu serializes merges (one authoritative merge at a time;
 	// queries and submissions proceed concurrently).
@@ -294,9 +300,11 @@ func ingest(st *Store, name, src string) (*ingested, error) {
 }
 
 // index inserts the ingested functions into st, in module order, and
-// returns the completed registry entry. Callers serialize it with
-// other registry writes, so one module's ids are contiguous.
-func (in *ingested) index(st *Store) *moduleEntry {
+// returns the completed registry entry with submission position seq.
+// Callers serialize it with other registry writes, so submission
+// positions and store inserts happen in the same order.
+func (in *ingested) index(st *Store, seq uint64) *moduleEntry {
+	in.entry.seq = seq
 	for i, fn := range in.funcs {
 		in.entry.recs = append(in.entry.recs, st.Insert(in.entry.name, fn, in.sigs[i]))
 	}
@@ -317,7 +325,8 @@ func (s *Server) SubmitModule(name, src string) (ModuleInfo, error) {
 		s.mu.Unlock()
 		return ModuleInfo{}, ErrModuleExists
 	}
-	entry := in.index(s.Store())
+	entry := in.index(s.Store(), s.nextSeq)
+	s.nextSeq++
 	s.modules[name] = entry
 	nmod := len(s.modules)
 	s.mu.Unlock()
@@ -396,7 +405,7 @@ func (s *Server) Module(name string) (ModuleInfo, error) {
 func (s *Server) QueryStored(module, fn string, minSim float64, k int) ([]Match, error) {
 	s.mu.RLock()
 	// Load the store under the registry lock: Restore swaps both under
-	// it, so rec.ID names an id of this store.
+	// it, so rec is a record of this store.
 	st := s.Store()
 	e, ok := s.modules[module]
 	var rec *FuncRecord
@@ -415,7 +424,7 @@ func (s *Server) QueryStored(module, fn string, minSim float64, k int) ([]Match,
 	if rec == nil {
 		return nil, fmt.Errorf("%w: function %q in module %q", ErrNotFound, fn, module)
 	}
-	return st.Query(rec.Sig, minSim, k, rec.ID), nil
+	return st.Query(rec.Sig, minSim, k, rec), nil
 }
 
 // QueryIR finds near-duplicates of a function inside a submitted-inline
@@ -448,7 +457,7 @@ func (s *Server) QueryIR(src, fn string, minSim float64, k int) ([]Match, error)
 	if probe == nil || !mergeable(probe) {
 		return nil, fmt.Errorf("%w: no mergeable probe function %q", ErrNotFound, fn)
 	}
-	return s.Store().Query(s.Store().Fingerprint(probe), minSim, k, -1), nil
+	return s.Store().Query(s.Store().Fingerprint(probe), minSim, k, nil), nil
 }
 
 // Merge links a name-ordered snapshot of the live modules and runs the

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -137,13 +136,7 @@ func (s *Server) Snapshot(path string) (SnapshotInfo, error) {
 		entries = append(entries, e)
 	}
 	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := firstID(entries[i]), firstID(entries[j])
-		if a != b {
-			return a < b
-		}
-		return entries[i].name < entries[j].name
-	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 
 	var enc snapEnc
 	enc.buf.WriteString(snapshotMagic)
@@ -187,16 +180,6 @@ func (s *Server) Snapshot(path string) (SnapshotInfo, error) {
 	}, nil
 }
 
-// firstID is a module's submission position: the id of its first
-// record (SubmitModule allocates a module's ids contiguously), or
-// MaxInt64 for a module with no mergeable function.
-func firstID(e *moduleEntry) int64 {
-	if len(e.recs) == 0 {
-		return math.MaxInt64
-	}
-	return e.recs[0].ID
-}
-
 // Restore replaces the server's entire state — module registry and
 // similarity store — with the contents of a snapshot file. The restore
 // is all-or-nothing: the file is CRC-checked and decoded, and every
@@ -230,12 +213,13 @@ func (s *Server) Restore(path string) (RestoreInfo, error) {
 		if err != nil {
 			return RestoreInfo{}, fmt.Errorf("serve: corrupt snapshot: module %q: %w", m.name, err)
 		}
-		modules[m.name] = in.index(fresh)
+		modules[m.name] = in.index(fresh, uint64(len(modules)))
 		nfuncs += len(in.funcs)
 	}
 
 	s.mu.Lock()
 	s.modules = modules
+	s.nextSeq = uint64(len(modules))
 	s.store.Store(fresh)
 	s.mu.Unlock()
 

@@ -267,3 +267,39 @@ func TestSnapshotNoPath(t *testing.T) {
 		t.Fatal("restore with no path succeeded")
 	}
 }
+
+// TestSnapshotOrderSurvivesIDReuse removes a module so the next
+// submission reuses its lower store ids: the snapshot must still list
+// modules in submission order, not id order.
+func TestSnapshotOrderSurvivesIDReuse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reuse.snap")
+	srv := NewServer(DefaultConfig())
+	for i, name := range []string{"mod-a", "mod-b", "mod-c"} {
+		if _, err := srv.SubmitModule(name, genModule(int64(20+i), fmt.Sprintf("m%d_", i))); err != nil {
+			t.Fatal(err)
+		}
+		if name == "mod-b" {
+			if err := srv.RemoveModule("mod-a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := srv.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range mods {
+		got = append(got, m.name)
+	}
+	if want := []string{"mod-b", "mod-c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot order %v, want submission order %v", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"sort"
 	"sync"
 
@@ -55,7 +56,8 @@ func (c StoreConfig) withDefaults() StoreConfig {
 
 // FuncRecord is one indexed function: its id (also its LSH id), owning
 // module, function name and MinHash signature (over the stable
-// encoding).
+// encoding). An id names the record only while it is live: the store
+// gives a removed record's id to a later insert.
 type FuncRecord struct {
 	ID           int64
 	Module, Func string
@@ -88,8 +90,10 @@ type StoreStats struct {
 // "LSH database" the serving layer exposes. It is one lsh.Index plus
 // the records inserted into it, keyed by id, behind one RWMutex, so
 // every query sees one bucket cap per bucket exactly as the pipeline's
-// ranking does. Ids are allocated in insertion order and double as LSH
-// ids.
+// ranking does. Ids double as LSH ids. A removed record's id is reused,
+// lowest first, before a new one is allocated, so the ids in use stay
+// within the peak live-function count and the index's id-indexed
+// tables stop growing under submit/remove churn.
 //
 // Concurrency contract: Insert and Remove hold mu exclusively; Query
 // and Stats hold it shared and read the index only through
@@ -103,8 +107,23 @@ type Store struct {
 	mu     sync.RWMutex
 	ix     *lsh.Index
 	recs   map[int64]*FuncRecord
+	free   idHeap
 	nextID int64
 	epoch  uint64
+}
+
+// idHeap is a min-heap of the ids freed by Remove.
+type idHeap []int64
+
+func (h idHeap) Len() int           { return len(h) }
+func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *idHeap) Push(x any)        { *h = append(*h, x.(int64)) }
+func (h *idHeap) Pop() any {
+	old := *h
+	id := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return id
 }
 
 // NewStore returns an empty store with the given configuration
@@ -128,13 +147,17 @@ func (s *Store) Fingerprint(f *ir.Function) fingerprint.MinHash {
 	return s.mh.New(fingerprint.EncodeFuncStable(f))
 }
 
-// Insert indexes sig under the next id and returns the record. Safe
-// for concurrent use.
+// Insert indexes sig under the lowest free id and returns the record.
+// Safe for concurrent use.
 func (s *Store) Insert(module, fn string, sig fingerprint.MinHash) *FuncRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := &FuncRecord{ID: s.nextID, Module: module, Func: fn, Sig: sig}
-	s.nextID++
+	if len(s.free) > 0 {
+		rec.ID = heap.Pop(&s.free).(int64)
+	} else {
+		s.nextID++
+	}
 	s.ix.Insert(int(rec.ID), sig)
 	s.recs[rec.ID] = rec
 	s.epoch++
@@ -150,6 +173,7 @@ func (s *Store) Remove(rec *FuncRecord) {
 	if s.recs[rec.ID] == rec {
 		s.ix.Remove(int(rec.ID), rec.Sig)
 		delete(s.recs, rec.ID)
+		heap.Push(&s.free, rec.ID)
 	}
 	s.epoch++
 }
@@ -158,13 +182,19 @@ func (s *Store) Remove(rec *FuncRecord) {
 // least one LSH bucket with sig and whose similarity reaches minSim,
 // ordered by similarity (descending) with ties broken by module then
 // function name, so results do not depend on insertion order.
-// excludeID removes one record (typically the probe itself) from the
-// results; pass a negative id to exclude nothing. k <= 0 means
+// exclude removes one record (typically the probe itself) from the
+// results if it is still live; nil excludes nothing. k <= 0 means
 // unlimited. Safe for any number of concurrent callers.
-func (s *Store) Query(sig fingerprint.MinHash, minSim float64, k int, excludeID int64) []Match {
+func (s *Store) Query(sig fingerprint.MinHash, minSim float64, k int, exclude *FuncRecord) []Match {
 	s.mu.RLock()
+	// A removed record's id may already belong to another record, so
+	// the exclusion is resolved under the lock.
+	excludeID := -1
+	if exclude != nil && s.recs[exclude.ID] == exclude {
+		excludeID = int(exclude.ID)
+	}
 	// Unlimited here: the k cut happens after the name-ordered sort.
-	cands := s.ix.PeekCandidates(int(excludeID), sig, minSim, nil, 0)
+	cands := s.ix.PeekCandidates(excludeID, sig, minSim, nil, 0)
 	out := make([]Match, len(cands))
 	for i, c := range cands {
 		rec := s.recs[int64(c.ID)]

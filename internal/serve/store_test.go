@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestStoreInsertQueryRemove(t *testing.T) {
 	b := st.Insert("m2", "f_b", sigs[0])
 	st.Insert("m2", "f_c", sigs[1])
 
-	got := st.Query(sigs[0], 0.99, 10, a.ID)
+	got := st.Query(sigs[0], 0.99, 10, a)
 	if len(got) != 1 || got[0].Module != "m2" || got[0].Func != "f_b" {
 		t.Fatalf("query for sig0 excluding a: got %+v, want exactly m2.f_b", got)
 	}
@@ -45,19 +46,19 @@ func TestStoreInsertQueryRemove(t *testing.T) {
 
 	// Without exclusion both copies come back, deterministically ordered
 	// by (module, func) at equal similarity.
-	got = st.Query(sigs[0], 0.99, 10, -1)
+	got = st.Query(sigs[0], 0.99, 10, nil)
 	if len(got) != 2 || got[0].Module != "m1" || got[1].Module != "m2" {
 		t.Fatalf("query without exclusion: got %+v", got)
 	}
 
 	// k truncates after the name-ordered sort.
-	if got := st.Query(sigs[0], 0.99, 1, -1); len(got) != 1 || got[0].Module != "m1" {
+	if got := st.Query(sigs[0], 0.99, 1, nil); len(got) != 1 || got[0].Module != "m1" {
 		t.Fatalf("k=1 query: got %+v", got)
 	}
 
 	// Removal unindexes.
 	st.Remove(b)
-	if got := st.Query(sigs[0], 0.99, 10, a.ID); len(got) != 0 {
+	if got := st.Query(sigs[0], 0.99, 10, a); len(got) != 0 {
 		t.Fatalf("query after removing b: got %+v, want none", got)
 	}
 	// Double-remove is a no-op.
@@ -99,7 +100,7 @@ func TestStoreConcurrent(t *testing.T) {
 			sig := sigs[w]
 			for i := 0; i < rounds; i++ {
 				rec := st.Insert(fmt.Sprintf("m%d", w), fmt.Sprintf("f%d", i), sig)
-				st.Query(sig, 0.5, 4, -1)
+				st.Query(sig, 0.5, 4, nil)
 				st.Stats()
 				if i%2 == 0 {
 					st.Remove(rec)
@@ -115,9 +116,61 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	// Every surviving record must be findable.
 	for w := 0; w < workers; w++ {
-		got := st.Query(sigs[w], 0.99, 0, -1)
+		got := st.Query(sigs[w], 0.99, 0, nil)
 		if len(got) != rounds/2 {
 			t.Fatalf("worker %d: %d matches, want %d", w, len(got), rounds/2)
 		}
+	}
+}
+
+func TestStoreReusesLowestFreedID(t *testing.T) {
+	st := NewStore(StoreConfig{})
+	sigs := testSigs(t, StoreConfig{}, 1)
+	var recs []*FuncRecord
+	for i := 0; i < 4; i++ {
+		recs = append(recs, st.Insert("m", fmt.Sprintf("f%d", i), sigs[0]))
+	}
+	st.Remove(recs[2])
+	st.Remove(recs[0])
+	for _, want := range []int64{0, 2, 4} {
+		if got := st.Insert("m", "g", sigs[0]).ID; got != want {
+			t.Fatalf("insert got id %d, want %d", got, want)
+		}
+	}
+	// A removed record whose id now belongs to another record excludes
+	// nothing: the new owner still answers.
+	if got := st.Query(sigs[0], 0.99, 0, recs[0]); len(got) != 5 {
+		t.Fatalf("query excluding a stale record: %d matches, want 5", len(got))
+	}
+}
+
+// TestStoreHeapFlatUnderChurn submits and removes one function many
+// times on an empty store: with ids reused, the index's id-indexed
+// tables stop growing, so the live heap stays flat.
+func TestStoreHeapFlatUnderChurn(t *testing.T) {
+	st := NewStore(StoreConfig{})
+	sigs := testSigs(t, StoreConfig{}, 1)
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			st.Remove(st.Insert("m", "f", sigs[0]))
+		}
+	}
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cycle(1000)
+	before := heapAlloc()
+	const cycles = 50000
+	cycle(cycles)
+	after := heapAlloc()
+	// Without reuse each cycle left ~26 B behind (1.3 MB here).
+	if after > before && after-before > 256<<10 {
+		t.Fatalf("heap grew %d B over %d insert+remove cycles on an empty store", after-before, cycles)
+	}
+	if st.Stats().Funcs != 0 {
+		t.Fatalf("live funcs = %d, want 0", st.Stats().Funcs)
 	}
 }

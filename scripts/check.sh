@@ -36,7 +36,12 @@ echo "== go build ./..."
 go build ./...
 
 echo "== go test -race ./..."
-go test -race ./...
+# An explicit per-package timeout instead of go test's default 10
+# minutes: internal/experiments alone takes 602-735 s under -race on a
+# 2-vCPU host, so the default failed a correct tree with a timeout
+# panic. 30 minutes is about 2.4x the slowest measured run; every test
+# still runs, and a hung test still fails.
+go test -race -timeout 30m ./...
 
 echo "== f3m -check=strict over the corpus"
 # The analyzer gate: the strict verifier, merge auditor and IR linter
