@@ -159,17 +159,18 @@ func BenchmarkRanking(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelPreprocessRank measures the stages the
-// core.Config.Workers knob parallelizes — MinHash fingerprinting + LSH
-// build (preprocess) and candidate ranking — on the largest generated
-// module the pipeline benchmarks use. The per-op `preprocess+rank-ms`
-// metric is the one to compare across worker counts (total ns/op also
-// includes the deliberately sequential merge/commit loop, which Workers
-// does not touch); the determinism tests in internal/core assert the
-// merge decisions are byte-identical across worker counts, and the
-// `merges` metric makes that visible here too. Worker fan-out only
-// pays on a multicore machine (GOMAXPROCS > 1); on a single CPU the
-// goroutine scheduling shows up as pure overhead.
+// BenchmarkParallelPreprocessRank measures preprocessing (fingerprinting
+// + LSH build) and candidate ranking across core.Config.Workers settings
+// on the largest generated module the pipeline benchmarks use. Workers
+// fans out only the fingerprinting; the LSH build, ranking and the
+// merge/commit loop are sequential, so the per-op `preprocess+rank-ms`
+// metric shows the fingerprinting gain diluted by the sequential
+// stages (total ns/op also includes the merge loop). The determinism
+// tests in internal/core assert the merge decisions are byte-identical
+// across worker counts, and the `merges` metric makes that visible
+// here too. Worker fan-out only pays on a multicore machine
+// (GOMAXPROCS > 1); on a single CPU the goroutine scheduling shows up
+// as pure overhead.
 func BenchmarkParallelPreprocessRank(b *testing.B) {
 	spec := irgen.SuiteSpec{Name: "parallel", Funcs: 4000, AvgInstrs: 25, CloneFraction: 0.4}
 	for _, strat := range []core.Strategy{core.F3MStatic, core.HyFM} {

@@ -29,7 +29,7 @@
 //	-seed S                        generation seed
 //	-threshold T                   similarity threshold (-1 = strategy default)
 //	-k K                           MinHash fingerprint size (0 = default)
-//	-workers N                     preprocess/rank parallelism (0 = GOMAXPROCS, 1 = sequential)
+//	-workers N                     fingerprinting parallelism (0 = GOMAXPROCS, 1 = sequential)
 //	-check off|fast|strict|validate  static-analysis level (fast = audit each merge; strict = full module checks; validate = strict + per-merge translation validation)
 //	-emit                          print the optimized module to stdout
 //	-v                             per-pair merge log
@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "synthetic generation seed")
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = strategy default)")
 	k := fs.Int("k", 0, "MinHash fingerprint size (0 = default)")
-	workers := fs.Int("workers", 0, "preprocess/rank parallelism (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 0, "fingerprinting parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	check := fs.String("check", "off", "static-analysis level: off, fast (audit each merge), strict (full module checks) or validate (strict plus per-merge translation validation)")
 	emit := fs.Bool("emit", false, "print the optimized module")
 	verbose := fs.Bool("v", false, "log every selected pair")

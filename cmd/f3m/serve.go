@@ -28,7 +28,7 @@ func runServe(args []string, stdout io.Writer) error {
 	strategy := fs.String("strategy", "f3m", "ranking strategy: "+strings.Join(core.StrategyNames(), ", "))
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = strategy default)")
 	k := fs.Int("k", 0, "MinHash fingerprint size (0 = default)")
-	workers := fs.Int("workers", 0, "preprocess/rank parallelism per merge (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "fingerprinting parallelism per merge (0 = GOMAXPROCS)")
 	check := fs.String("check", "off", "static-analysis level: off, fast, strict or validate")
 	snapshot := fs.String("snapshot", "", "default snapshot file for the snapshot/restore endpoints")
 	restore := fs.Bool("restore", false, "restore state from the -snapshot file before listening")

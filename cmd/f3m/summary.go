@@ -76,7 +76,6 @@ func runMergeSummaries(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("f3m merge", flag.ContinueOnError)
 	summaries := fs.Bool("summaries", false, "treat the inputs as .sum summary files (required; modules load from each summary's recorded source)")
 	threshold := fs.Float64("threshold", -1, "similarity threshold (-1 = default)")
-	workers := fs.Int("workers", 0, "preprocess/rank parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	check := fs.String("check", "validate", "static-analysis level; anything below validate is raised to it (optimistic merging requires the validator)")
 	emit := fs.Bool("emit", false, "print the merged module")
 	verbose := fs.Bool("v", false, "log every planned pair")
@@ -122,7 +121,6 @@ func runMergeSummaries(args []string, stdout io.Writer) error {
 
 	cfg := core.DefaultConfig(core.F3MStatic)
 	cfg.Threshold = *threshold
-	cfg.Workers = *workers
 	var err error
 	cfg.Check, err = core.ParseCheckMode(*check)
 	if err != nil {

@@ -130,16 +130,13 @@ type planEntry struct {
 // link-time merge loop will attempt, mirroring the in-process
 // pipeline's ranking loop (best surviving candidate per function,
 // each function in at most one pair). threshold < 0 selects the
-// static default 0. workers parallelizes the LSH build and ranking;
-// the plan is identical for every worker count. Metrics (nil-safe):
-// summary.planned counts planned pairs, summary.planned_cross the
-// cross-module subset.
-func (ix *Index) Plan(threshold float64, workers int, mx *obs.Metrics) *Plan {
+// static default 0. Planning is sequential: the int argument is
+// ignored, and kept only so existing callers still compile. Metrics
+// (nil-safe): summary.planned counts planned pairs,
+// summary.planned_cross the cross-module subset.
+func (ix *Index) Plan(threshold float64, _ int, mx *obs.Metrics) *Plan {
 	if threshold < 0 {
 		threshold = 0
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	p := ix.params.withDefaults()
 	plan := &Plan{Params: p, Threshold: threshold}
@@ -170,7 +167,7 @@ func (ix *Index) Plan(threshold float64, workers int, mx *obs.Metrics) *Plan {
 	}
 
 	lix := lsh.NewIndex(lsh.Params{Rows: p.Rows, Bands: p.Bands, BucketCap: p.BucketCap})
-	lix.BatchInsert(0, sigs, workers)
+	lix.BatchInsert(0, sigs)
 
 	planned := mx.Counter("summary.planned")
 	plannedCross := mx.Counter("summary.planned_cross")
@@ -180,7 +177,7 @@ func (ix *Index) Plan(threshold float64, workers int, mx *obs.Metrics) *Plan {
 		if matched[i] {
 			continue
 		}
-		best, found := lix.BestWhereN(i, sigs[i], threshold, accept, workers)
+		best, found := lix.BestWhere(i, sigs[i], threshold, accept)
 		if !found {
 			continue
 		}

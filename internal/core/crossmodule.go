@@ -77,9 +77,10 @@ func planKey(p summary.PlanPair) string { return p.A.Name + "\x00" + p.B.Name }
 // forced to at least CheckValidate: optimism without the validator
 // would let a colliding summary miscompile.
 //
-// The report is identical for every Workers setting, and
-// — because planning runs over the name-sorted global function list —
-// for every partitioning of the same program into modules.
+// Planning and merging are sequential, so Workers plays no part. The
+// report is identical for every partitioning of the same program into
+// modules, because planning runs over the name-sorted global function
+// list.
 func RunSummaryMerge(name string, mods []*ir.Module, ix *summary.Index, cfg Config) (*SummaryReport, *ir.Module, error) {
 	if cfg.Check < CheckValidate {
 		cfg.Check = CheckValidate
@@ -99,11 +100,10 @@ func RunSummaryMerge(name string, mods []*ir.Module, ix *summary.Index, cfg Conf
 	if threshold < 0 {
 		threshold = 0
 	}
-	workers := resolveWorkers(cfg.Workers)
 	mx := cfg.Metrics
 
 	sr := &SummaryReport{Modules: len(mods)}
-	plan := ix.Plan(threshold, workers, mx)
+	plan := ix.Plan(threshold, 0, mx)
 	sr.Planned = len(plan.Pairs)
 	sr.CrossModulePlanned = plan.CrossModule
 
@@ -205,7 +205,7 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)
 	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
-	publishRunMetrics(rep, cfg, resolveWorkers(cfg.Workers))
+	publishRunMetrics(rep, cfg)
 	return rep, stats, "", nil
 }
 

@@ -32,9 +32,7 @@ func splitAndIndex(t *testing.T, m *ir.Module, n int) ([]*ir.Module, *summary.In
 // summaryReportKey extends reportKey with the partition-independent
 // cross-module accounting. CrossModulePlanned/CrossModuleMerges are
 // deliberately excluded: which pairs span a module boundary is a
-// property of the partitioning, not of the program, so those two are
-// compared separately (fixed split, varying workers) in the
-// determinism test.
+// property of the partitioning, not of the program.
 func summaryReportKey(t *testing.T, sr *SummaryReport) string {
 	t.Helper()
 	return fmt.Sprintf("planned=%d validated=%d stale=%d missp=%d\n%s",
@@ -42,66 +40,55 @@ func summaryReportKey(t *testing.T, sr *SummaryReport) string {
 		reportKey(t, sr.Report))
 }
 
-func runSummaryMerge(t *testing.T, m *ir.Module, n, workers int) (*SummaryReport, *ir.Module) {
+func runSummaryMerge(t *testing.T, m *ir.Module, n int) (*SummaryReport, *ir.Module) {
 	t.Helper()
 	parts, ix := splitAndIndex(t, m, n)
 	cfg := DefaultConfig(F3MStatic)
-	cfg.Workers = workers
 	cfg.Metrics = obs.NewMetrics()
 	sr, linked, err := RunSummaryMerge("linked", parts, ix, cfg)
 	if err != nil {
-		t.Fatalf("split=%d w=%d: %v", n, workers, err)
+		t.Fatalf("split=%d: %v", n, err)
 	}
 	if err := ir.VerifyModule(linked); err != nil {
-		t.Fatalf("split=%d w=%d: merged module invalid: %v", n, workers, err)
+		t.Fatalf("split=%d: merged module invalid: %v", n, err)
 	}
 	return sr, linked
 }
 
 // TestSummaryMergeDeterminism is the cross-module determinism
 // contract: the same program partitioned into 2, 4 or 8 separately
-// parsed modules, merged at any Workers setting, produces
-// the identical report — pair log, counters, accounting, diagnostics.
+// parsed modules produces the identical report — pair log, counters,
+// accounting, diagnostics.
 func TestSummaryMergeDeterminism(t *testing.T) {
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
 
 	var baseKey string
 	var baseText string
 	for _, n := range []int{2, 4, 8} {
-		crossBase := -1
-		for _, w := range []int{1, 2, 8} {
-			sr, linked := runSummaryMerge(t, m, n, w)
-			if sr.Misspeculated != 0 || sr.Replays != 0 {
-				t.Fatalf("split=%d w=%d: misspeculation on clean inputs: %+v", n, w, sr)
+		sr, linked := runSummaryMerge(t, m, n)
+		if sr.Misspeculated != 0 || sr.Replays != 0 {
+			t.Fatalf("split=%d: misspeculation on clean inputs: %+v", n, sr)
+		}
+		if sr.Diagnostics.Count(0) != 0 {
+			t.Fatalf("split=%d: diagnostics on clean inputs:\n%s", n, sr.Diagnostics.RenderString())
+		}
+		if sr.CrossModuleMerges == 0 || sr.CrossModulePlanned == 0 {
+			t.Fatalf("split=%d: no cross-module pairs; test is vacuous", n)
+		}
+		key := summaryReportKey(t, sr)
+		text := ir.ModuleString(linked)
+		if baseKey == "" {
+			baseKey, baseText = key, text
+			if sr.Merges == 0 {
+				t.Fatal("baseline merged nothing; test is vacuous")
 			}
-			if sr.Diagnostics.Count(0) != 0 {
-				t.Fatalf("split=%d w=%d: diagnostics on clean inputs:\n%s", n, w, sr.Diagnostics.RenderString())
-			}
-			// Within one partitioning, the cross-module accounting must
-			// not depend on the worker count either.
-			if crossBase < 0 {
-				crossBase = sr.CrossModuleMerges
-				if sr.CrossModuleMerges == 0 || sr.CrossModulePlanned == 0 {
-					t.Fatalf("split=%d: no cross-module pairs; test is vacuous", n)
-				}
-			} else if sr.CrossModuleMerges != crossBase {
-				t.Errorf("split=%d w=%d: cross-module merges %d != %d", n, w, sr.CrossModuleMerges, crossBase)
-			}
-			key := summaryReportKey(t, sr)
-			text := ir.ModuleString(linked)
-			if baseKey == "" {
-				baseKey, baseText = key, text
-				if sr.Merges == 0 {
-					t.Fatal("baseline merged nothing; test is vacuous")
-				}
-				continue
-			}
-			if key != baseKey {
-				t.Errorf("report differs at split=%d w=%d:\n--- base ---\n%s\n--- got ---\n%s", n, w, baseKey, key)
-			}
-			if text != baseText {
-				t.Errorf("merged module differs at split=%d w=%d", n, w)
-			}
+			continue
+		}
+		if key != baseKey {
+			t.Errorf("report differs at split=%d:\n--- base ---\n%s\n--- got ---\n%s", n, baseKey, key)
+		}
+		if text != baseText {
+			t.Errorf("merged module differs at split=%d", n)
 		}
 	}
 }
@@ -175,7 +162,7 @@ func TestSummaryMergeStaleSummary(t *testing.T) {
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
 
 	// Learn a committed pair from a clean run.
-	cleanSr, _ := runSummaryMerge(t, m, 2, 1)
+	cleanSr, _ := runSummaryMerge(t, m, 2)
 	var victim string
 	for _, p := range cleanSr.Pairs {
 		if p.Profitable {

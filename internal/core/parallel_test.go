@@ -2,11 +2,9 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"os"
 	"testing"
 
-	"f3m/internal/fingerprint"
 	"f3m/internal/ir"
 	"f3m/internal/irgen"
 	"f3m/internal/merge"
@@ -188,45 +186,12 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
-// TestNearestNeighbourParallel drives the fanned-out HyFM scan above
-// the parallelScanMin threshold (the module tests stay below it) on a
-// population dense with duplicate fingerprints, so range-boundary
-// tie-breaks are exercised: every worker count must return the
-// sequential first-minimum answer.
-func TestNearestNeighbourParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 2 * parallelScanMin
-	fps := make([]*fingerprint.FreqVector, n)
-	merged := make([]bool, n)
-	for i := range fps {
-		var v fingerprint.FreqVector
-		// Tiny alphabet and counts: lots of exact-distance ties.
-		for op := 0; op < 4; op++ {
-			c := int32(rng.Intn(3))
-			v.Counts[op] = c
-			v.Total += c
-		}
-		fps[i] = &v
-		merged[i] = rng.Intn(4) == 0
-	}
-	for _, i := range []int{0, 1, 7, n / 2, n - 1} {
-		wantB, wantD, wantC := nearestNeighbour(fps, i, merged, 1)
-		for _, w := range []int{2, 3, 4, 16} {
-			gotB, gotD, gotC := nearestNeighbour(fps, i, merged, w)
-			if gotB != wantB || gotD != wantD || gotC != wantC {
-				t.Errorf("i=%d workers=%d: (%d,%d,%d), want (%d,%d,%d)",
-					i, w, gotB, gotD, gotC, wantB, wantD, wantC)
-			}
-		}
-	}
-}
-
 // TestParallelFor covers the chunked scheduler against a plain loop.
 func TestParallelFor(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1000} {
 		for _, w := range []int{1, 2, 4, 16} {
 			got := make([]int, n)
-			parallelFor(n, w, func(i int) { got[i] = i + 1 })
+			poolRun(n, w, nil, "test", func(i int) { got[i] = i + 1 })
 			for i, v := range got {
 				if v != i+1 {
 					t.Fatalf("n=%d w=%d: index %d not visited (got %d)", n, w, i, v)

@@ -122,13 +122,14 @@ type Config struct {
 	// Seed selects the MinHash hash family.
 	Seed uint64
 
-	// Workers is the degree of parallelism for the preprocessing and
-	// ranking stages: 0 (the default) uses GOMAXPROCS, 1 forces the
-	// sequential path, any other value sets the pool size. Every
+	// Workers is the degree of parallelism for fingerprinting, the one
+	// stage that fans out: 0 (the default) uses GOMAXPROCS, 1 forces
+	// the sequential path, any other value sets the pool size. Every
 	// setting produces the identical Report — same pairs, merges and
-	// counters; only the StageTimes wall clocks differ. Commits are
-	// always applied by the single sequential committer loop, so module
-	// mutation semantics do not depend on Workers.
+	// counters; only the StageTimes wall clocks differ. The LSH build,
+	// ranking and the commit loop are always sequential, so module
+	// mutation semantics do not depend on Workers. RunSummaryMerge
+	// fingerprints nothing and ignores it.
 	Workers int
 
 	// Hotness, when set, enables the profile-guided extension the
@@ -439,11 +440,11 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 
 // publishRunMetrics records the run-level results into the registry
 // once a pass finishes: module sizes and effective parameters as
-// deterministic gauges, stage wall clocks and the worker count as
-// volatile ones (they differ across machines and Workers settings, so
-// the deterministic JSON export excludes them). It also echoes the
-// registry on the report. No-op when metrics are disabled.
-func publishRunMetrics(rep *Report, cfg Config, workers int) {
+// deterministic gauges, stage wall clocks as volatile ones (they differ
+// across machines and runs, so the deterministic JSON export excludes
+// them). It also echoes the registry on the report. No-op when metrics
+// are disabled.
+func publishRunMetrics(rep *Report, cfg Config) {
 	mx := cfg.Metrics
 	rep.Metrics = mx
 	if mx == nil {
@@ -455,7 +456,6 @@ func publishRunMetrics(rep *Report, cfg Config, workers int) {
 	mx.Gauge("core.threshold").Set(rep.Threshold)
 	mx.Gauge("core.bands").Set(float64(rep.Bands))
 	mx.Gauge("core.k").Set(float64(rep.K))
-	mx.VolatileGauge("core.workers").Set(float64(workers))
 	t := rep.Times
 	mx.VolatileGauge("time.preprocess_ns").Set(float64(t.Preprocess))
 	mx.VolatileGauge("time.rank_ns").Set(float64(t.RankSuccess + t.RankFail))
@@ -495,21 +495,18 @@ func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 	run.SetAttr("strategy", HyFM)
 	defer run.End()
 
-	workers := resolveWorkers(cfg.Workers)
 	start := time.Now()
 	pre := run.Child("preprocess")
 	funcs := candidates(m)
 	rep.NumFuncs = len(funcs)
 	fps := make([]*fingerprint.FreqVector, len(funcs))
-	poolRun(len(funcs), workers, mx, "fingerprint", func(i int) {
+	poolRun(len(funcs), resolveWorkers(cfg.Workers), mx, "fingerprint", func(i int) {
 		fps[i] = fingerprint.FreqFunc(funcs[i])
 	})
 	mx.Counter(obs.FunnelFingerprinted).Add(int64(len(funcs)))
 	pre.End()
 	rep.Times.Preprocess = time.Since(start)
 
-	// The outer loop mutates merged[] and the module after each commit,
-	// so it stays sequential; each O(n) scan fans out across workers.
 	loop := run.Child("merge-loop")
 	merged := make([]bool, len(funcs))
 	for i := range funcs {
@@ -517,7 +514,7 @@ func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 			continue
 		}
 		rankStart := time.Now()
-		best, _, compared := nearestNeighbour(fps, i, merged, workers)
+		best, compared := nearestNeighbour(fps, i, merged)
 		rankDur := time.Since(rankStart)
 		mx.Counter(obs.FunnelCompared).Add(compared)
 		if best < 0 {
@@ -539,8 +536,27 @@ func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)
 	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
-	publishRunMetrics(rep, cfg, workers)
+	publishRunMetrics(rep, cfg)
 	return rep, nil
+}
+
+// nearestNeighbour finds, among the unmerged fingerprints, the index
+// nearest to fps[i] by Manhattan distance (-1 if there is none); ties
+// go to the lowest index (the first minimum). compared counts the
+// distance computations performed (the candidate-funnel "compared"
+// stage).
+func nearestNeighbour(fps []*fingerprint.FreqVector, i int, merged []bool) (best int, compared int64) {
+	best, bestDist := -1, int(^uint(0)>>1)
+	for j := range fps {
+		if j == i || merged[j] {
+			continue
+		}
+		compared++
+		if d := fps[i].Distance(fps[j]); d < bestDist {
+			best, bestDist = j, d
+		}
+	}
+	return best, compared
 }
 
 // runF3M ranks with MinHash + LSH, with static or adaptive parameters;
@@ -609,11 +625,9 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 	rep.Threshold, rep.Bands, rep.K = threshold, bands, k
 
 	// Fingerprinting is embarrassingly parallel per function (the
-	// prepared config is read-only), and the LSH build is sharded by
-	// band; both yield the same index state as the sequential path.
-	// The encoded-length histogram records integers from parallel
-	// code, which keeps its float sum schedule-independent.
-	workers := resolveWorkers(cfg.Workers)
+	// prepared config is read-only). The encoded-length histogram
+	// records integers from parallel code, which keeps its float sum
+	// schedule-independent.
 	mhCfg := (&fingerprint.Config{K: k, ShingleSize: 2, Seed: cfg.Seed}).Prepare()
 	sigs := make([]fingerprint.MinHash, len(funcs))
 
@@ -638,7 +652,7 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 	}
 	fp := pre.Child("fingerprint")
 	encLen := mx.Histogram("fingerprint.encoded_len", encodedLenBounds)
-	poolRun(len(funcs), workers, mx, "fingerprint", func(i int) {
+	poolRun(len(funcs), resolveWorkers(cfg.Workers), mx, "fingerprint", func(i int) {
 		var enc []fingerprint.Encoded
 		if canonOrd != nil {
 			enc = fingerprint.EncodeBlocks(canonOrd[i].Blocks)
@@ -652,7 +666,7 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 	fp.End()
 	lb := pre.Child("lsh-build")
 	ix := lsh.NewIndex(lsh.Params{Rows: rows, Bands: bands, BucketCap: cfg.BucketCap})
-	ix.BatchInsert(0, sigs, workers)
+	ix.BatchInsert(0, sigs)
 	mx.Counter(obs.FunnelBucketed).Add(int64(ix.Stats().Inserted))
 	lb.End()
 	pre.End()
@@ -673,7 +687,7 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 		var best lsh.Candidate
 		var found bool
 		if cfg.Hotness == nil {
-			best, found = ix.BestWhereN(i, sigs[i], threshold, accept, workers)
+			best, found = ix.BestWhere(i, sigs[i], threshold, accept)
 		} else {
 			// Profile-guided selection needs the candidate list: among
 			// candidates within the similarity slack of the best, pick
@@ -730,6 +744,6 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 	mx.Counter(obs.FunnelCompared).Add(rep.LSHStats.Comparisons)
 	mx.Counter(obs.FunnelAboveThreshold).Add(rep.LSHStats.CandidatesFound)
 	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
-	publishRunMetrics(rep, cfg, workers)
+	publishRunMetrics(rep, cfg)
 	return rep, nil
 }

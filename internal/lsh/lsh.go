@@ -21,7 +21,6 @@ package lsh
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"f3m/internal/fingerprint"
 )
@@ -69,9 +68,8 @@ func (p Params) MatchProbability(s float64) float64 {
 	return 1 - math.Pow(1-math.Pow(s, float64(p.Rows)), float64(p.Bands))
 }
 
-// Index is the bucket structure. Its methods are not safe for
-// concurrent use; BatchInsert parallelizes the build internally while
-// keeping that single-threaded external contract.
+// Index is the bucket structure. Apart from PeekCandidates, its
+// methods are not safe for concurrent use.
 type Index struct {
 	params Params
 
@@ -92,15 +90,10 @@ type Index struct {
 	gen   uint32
 
 	// hashScratch is the reusable band-hash buffer of the sequential
-	// entry points (Insert, Query, Best, BestWhereN). PeekCandidates is
+	// entry points (Insert, Remove, BestWhere). PeekCandidates is
 	// documented safe to run concurrently with itself, so it must not
 	// touch this and hashes into a per-call buffer instead.
 	hashScratch []uint32
-
-	// candScratch/simScratch are BestWhereN's reusable candidate and
-	// similarity buffers; same sequential-only contract as hashScratch.
-	candScratch []int32
-	simScratch  []float64
 
 	// Stats accumulated since construction.
 	stats IndexStats
@@ -200,23 +193,18 @@ func (ix *Index) Insert(id int, mh fingerprint.MinHash) {
 	ix.stats.Inserted++
 }
 
-// BatchInsert inserts sigs[i] under id base+i for every i, using up to
-// workers goroutines. The resulting index — bucket contents, the order
-// of ids within each bucket, and the stats counters — is byte-identical
-// to calling Insert sequentially in ascending id order, because the
-// build is sharded by band: band hashes are computed in parallel over
-// signatures, then each band map is populated by exactly one worker
-// scanning ids in ascending order. Per-worker stat partials are merged
-// deterministically at the end.
-//
-// BatchInsert must not run concurrently with other Index methods; once
-// it returns the index is ready for (sequential) queries as usual.
-func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash, workers int) {
+// BatchInsert inserts sigs[i] under id base+i for every i. The
+// resulting index — bucket contents, the order of ids within each
+// bucket, and the stats counters — is identical to calling Insert in
+// ascending id order; only the allocation pattern differs. Each band is
+// filled in two passes: count the batch's load per bucket, then carve
+// exact-capacity bucket lists out of one flat array instead of growing
+// thousands of small slices through append doubling. Lists are carved
+// with cap == final length, so a later Insert that appends to one
+// copies out rather than clobbering a neighbour.
+func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash) {
 	if len(sigs) == 0 {
 		return
-	}
-	if workers > len(sigs) {
-		workers = len(sigs)
 	}
 	if base >= 0 && base+len(sigs) > len(ix.sigsDense) && cap(ix.sigsDense) < base+len(sigs) {
 		grown := make([]fingerprint.MinHash, len(ix.sigsDense), base+len(sigs))
@@ -224,45 +212,16 @@ func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash, workers int) 
 		ix.sigsDense = grown
 	}
 
-	// Phase 1: band hashes, parallel over signatures. All per-signature
-	// buffers are carved from one flat backing array (disjoint regions,
-	// so the parallel writes never touch the same slot).
+	// Band hashes, all carved from one flat backing array.
 	hashes := make([][]uint32, len(sigs))
 	nb := ix.params.Bands
 	flatH := make([]uint32, len(sigs)*nb)
-	hashSlot := func(i int) []uint32 {
-		return ix.bandHashesInto(sigs[i], flatH[i*nb:i*nb:(i+1)*nb])
-	}
-	if workers <= 1 {
-		for i := range sigs {
-			hashes[i] = hashSlot(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(sigs); i += workers {
-					hashes[i] = hashSlot(i)
-				}
-			}(w)
-		}
-		wg.Wait()
+	for i, mh := range sigs {
+		hashes[i] = ix.bandHashesInto(mh, flatH[i*nb:i*nb:(i+1)*nb])
 	}
 
-	// Phase 2: bucket population, sharded by band so no band map is
-	// touched by two goroutines and each scans ids in ascending order —
-	// the result is byte-identical to sequential Inserts. Each band is
-	// filled in two passes: count the batch's load per bucket, then
-	// carve exact-capacity bucket lists out of one flat array instead of
-	// growing thousands of small slices through append doubling. Lists
-	// are carved with cap == final length, so a later Insert that
-	// appends to one copies out rather than clobbering a neighbour.
-	type partial struct {
-		bucketsUsed, maxLoad int
-	}
-	fillBand := func(band int, cnt map[uint32]int32, p *partial) {
+	cnt := make(map[uint32]int32, len(sigs))
+	for band := range ix.buckets {
 		clear(cnt)
 		total := int32(0)
 		for _, hs := range hashes {
@@ -273,7 +232,7 @@ func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash, workers int) 
 			total++
 		}
 		if total == 0 {
-			return
+			continue
 		}
 		bm := ix.buckets[band]
 		if len(bm) == 0 {
@@ -292,47 +251,20 @@ func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash, workers int) 
 				c := cnt[h]
 				lst = flat[off : off : off+c]
 				off += c
-				p.bucketsUsed++
+				ix.stats.BucketsUsed++
 			}
 			lst = append(lst, int32(base+i))
 			bm[h] = lst
-			if len(lst) > p.maxLoad {
-				p.maxLoad = len(lst)
+			if len(lst) > ix.stats.MaxBucketLoad {
+				ix.stats.MaxBucketLoad = len(lst)
 			}
 		}
-	}
-
-	parts := make([]partial, workers)
-	if workers <= 1 {
-		cnt := make(map[uint32]int32, len(sigs))
-		for band := range ix.buckets {
-			fillBand(band, cnt, &parts[0])
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				cnt := make(map[uint32]int32, len(sigs))
-				for band := w; band < len(ix.buckets); band += workers {
-					fillBand(band, cnt, &parts[w])
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 
 	for i, mh := range sigs {
 		ix.setSig(int32(base+i), mh)
 	}
 	ix.stats.Inserted += len(sigs)
-	for _, p := range parts {
-		ix.stats.BucketsUsed += p.bucketsUsed
-		if p.maxLoad > ix.stats.MaxBucketLoad {
-			ix.stats.MaxBucketLoad = p.maxLoad
-		}
-	}
 }
 
 // Remove deletes id from the index so already-merged functions stop
@@ -414,7 +346,7 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 // the per-query dedup stamps — deduplication uses a local set instead.
 // Because it mutates nothing, any number of PeekCandidates calls may
 // run concurrently with each other and with the (externally
-// serialized) authoritative Query/BestWhereN calls, which write only
+// serialized) authoritative Query/BestWhere calls, which write only
 // the stats and stamp state that Peek never reads. Callers must still
 // prevent concurrent Insert/Remove/BatchInsert — the serving store
 // holds its shard's write lock across those.
@@ -471,31 +403,16 @@ func (ix *Index) Best(id int, mh fingerprint.MinHash, minSim float64) (Candidate
 // BestWhere returns the most similar candidate accepted by the filter
 // (nil accepts all). Unlike Query it neither materializes nor sorts the
 // full scored candidate list, which is what makes per-function ranking
-// cheap even when buckets are crowded.
+// cheap even when buckets are crowded. Candidates are walked in band
+// order with Query's dedup and cap accounting; only accepted ones are
+// compared (and counted in Comparisons), and the first best wins ties
+// by the lowest id. There is no early exit on a perfect match: the
+// accounting covers every candidate the caps admit.
 func (ix *Index) BestWhere(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool) (Candidate, bool) {
-	return ix.BestWhereN(id, mh, minSim, accept, 1)
-}
-
-// minParallelCompares is the candidate count below which fanning the
-// Jaccard comparisons out is not worth the goroutine startup. Purely a
-// performance threshold: results and stats are identical either way.
-const minParallelCompares = 128
-
-// BestWhereN is BestWhere with the fingerprint comparisons — the bulk
-// of the ranking cost — spread across up to workers goroutines. The
-// result and every stats counter are byte-identical for any worker
-// count: a sequential pass performs the order-dependent accounting
-// (per-query dedup, cap skips, comparison counts) and fixes the
-// candidate list, the parallel pass only evaluates the pure Jaccard
-// similarities, and a final sequential fold applies the first-best
-// tie-break exactly as a plain loop would.
-func (ix *Index) BestWhereN(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool, workers int) (Candidate, bool) {
 	cap_ := ix.params.bucketCap()
 	ix.beginQuery(id)
-
-	// Pass 1 (sequential): dedup and cap accounting select which
-	// candidates get compared, in band order.
-	cands := ix.candScratch[:0]
+	best := Candidate{Similarity: -1}
+	found := false
 	for band, h := range ix.bandHashes(mh) {
 		lst := ix.buckets[band][h]
 		checked := 0
@@ -512,46 +429,15 @@ func (ix *Index) BestWhereN(id int, mh fingerprint.MinHash, minSim float64, acce
 			if accept != nil && !accept(int(cand)) {
 				continue
 			}
-			cands = append(cands, cand)
-		}
-	}
-	ix.candScratch = cands
-	ix.stats.Comparisons += int64(len(cands))
-
-	// Pass 2: similarity per candidate; pure reads, so freely parallel.
-	if cap(ix.simScratch) < len(cands) {
-		ix.simScratch = make([]float64, len(cands))
-	}
-	sims := ix.simScratch[:len(cands)]
-	if workers <= 1 || len(cands) < minParallelCompares {
-		for i, cand := range cands {
-			sims[i] = mh.Jaccard(ix.sig(cand))
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(cands); i += workers {
-					sims[i] = mh.Jaccard(ix.sig(cands[i]))
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	// Pass 3 (sequential): first-best fold with the lowest-id tie-break.
-	best := Candidate{Similarity: -1}
-	found := false
-	for i, cand := range cands {
-		s := sims[i]
-		if s < minSim {
-			continue
-		}
-		if !found || s > best.Similarity || (s == best.Similarity && int(cand) < best.ID) {
-			best = Candidate{ID: int(cand), Similarity: s}
-			found = true
+			ix.stats.Comparisons++
+			s := mh.Jaccard(ix.sig(cand))
+			if s < minSim {
+				continue
+			}
+			if !found || s > best.Similarity || (s == best.Similarity && int(cand) < best.ID) {
+				best = Candidate{ID: int(cand), Similarity: s}
+				found = true
+			}
 		}
 	}
 	if found {

@@ -1,8 +1,8 @@
 package lsh
 
 // Regression tests for the accounting and memory bugs fixed alongside
-// the parallel pipeline, plus equivalence tests for the sharded
-// BatchInsert build.
+// the parallel pipeline, plus equivalence tests for the BatchInsert
+// build.
 
 import (
 	"math/rand"
@@ -14,8 +14,7 @@ import (
 
 // capSig builds a K=4 fingerprint whose first band (lanes 0-1 under
 // r=2) is shared while the remaining lanes vary per id, so every id
-// collides in band 0 without being a perfect match (perfect matches
-// would trigger BestWhere's early exit before the cap).
+// collides in band 0 without being a perfect match.
 func capSig(id int) fingerprint.MinHash {
 	return fingerprint.MinHash{1, 2, uint32(100 + id), uint32(200 + id)}
 }
@@ -131,9 +130,9 @@ func TestSeenDoesNotGrowStamp(t *testing.T) {
 	}
 }
 
-// TestBatchInsertMatchesSequential: for any worker count the sharded
-// build must leave the index byte-identical to sequential insertion —
-// bucket contents and order, stats, and every query answer.
+// TestBatchInsertMatchesSequential: the batch build must leave the
+// index byte-identical to sequential insertion — bucket contents and
+// order, stats, and every query answer.
 func TestBatchInsertMatchesSequential(t *testing.T) {
 	cfg := fingerprint.DefaultConfig()
 	rng := rand.New(rand.NewSource(5))
@@ -160,70 +159,25 @@ func TestBatchInsertMatchesSequential(t *testing.T) {
 	}
 	queryStats := seq.stats
 
-	for _, w := range []int{1, 2, 3, 8, 64} {
-		par := NewIndex(DefaultParams())
-		par.BatchInsert(0, sigs, w)
-		if !reflect.DeepEqual(seq.buckets, par.buckets) {
-			t.Fatalf("workers=%d: bucket maps differ from sequential build", w)
-		}
-		if par.stats != buildStats {
-			t.Fatalf("workers=%d: build stats %+v differ from sequential %+v", w, par.stats, buildStats)
-		}
-		for i := range sigs {
-			if got := par.Query(i, sigs[i], 0.2); !reflect.DeepEqual(got, answers[i]) {
-				t.Fatalf("workers=%d: query %d differs: %v vs %v", w, i, got, answers[i])
-			}
-		}
-		if par.stats != queryStats {
-			t.Fatalf("workers=%d: post-query stats %+v diverge from %+v", w, par.stats, queryStats)
-		}
+	batch := NewIndex(DefaultParams())
+	batch.BatchInsert(0, sigs)
+	if !reflect.DeepEqual(seq.buckets, batch.buckets) {
+		t.Fatal("bucket maps differ from sequential build")
 	}
-}
-
-// TestBestWhereNMatchesSequential: the fanned-out ranking query must
-// return the same winner and accumulate the same stats as the
-// sequential BestWhere for every worker count, including under an
-// accept filter.
-func TestBestWhereNMatchesSequential(t *testing.T) {
-	cfg := fingerprint.DefaultConfig()
-	rng := rand.New(rand.NewSource(23))
-	sigs := make([]fingerprint.MinHash, 400)
-	base := randSeq(rng, 40, 12) // small alphabet: crowded buckets
+	if batch.stats != buildStats {
+		t.Fatalf("build stats %+v differ from sequential %+v", batch.stats, buildStats)
+	}
 	for i := range sigs {
-		sigs[i] = cfg.New(mutate(rng, base, rng.Intn(20), 12))
-	}
-	reject := func(id int) bool { return id%5 != 0 }
-
-	type outcome struct {
-		best  Candidate
-		found bool
-		stats IndexStats
-	}
-	runAll := func(workers int) []outcome {
-		ix := NewIndex(Params{Rows: 2, Bands: 100, BucketCap: 10})
-		ix.BatchInsert(0, sigs, workers)
-		out := make([]outcome, 0, 2*len(sigs))
-		for i := range sigs {
-			best, found := ix.BestWhereN(i, sigs[i], 0.3, nil, workers)
-			out = append(out, outcome{best, found, ix.stats})
-			best, found = ix.BestWhereN(i, sigs[i], 0.3, reject, workers)
-			out = append(out, outcome{best, found, ix.stats})
+		if got := batch.Query(i, sigs[i], 0.2); !reflect.DeepEqual(got, answers[i]) {
+			t.Fatalf("query %d differs: %v vs %v", i, got, answers[i])
 		}
-		return out
 	}
-
-	want := runAll(1)
-	for _, w := range []int{2, 4, 9} {
-		got := runAll(w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: query %d: %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
+	if batch.stats != queryStats {
+		t.Fatalf("post-query stats %+v diverge from %+v", batch.stats, queryStats)
 	}
 }
 
-// TestBatchInsertAppendsToExistingIndex: sharded insertion into a
+// TestBatchInsertAppendsToExistingIndex: batch insertion into a
 // non-empty index must extend buckets exactly like sequential Inserts.
 func TestBatchInsertAppendsToExistingIndex(t *testing.T) {
 	cfg := fingerprint.DefaultConfig()
@@ -236,20 +190,20 @@ func TestBatchInsertAppendsToExistingIndex(t *testing.T) {
 	}
 
 	seq := NewIndex(DefaultParams())
-	par := NewIndex(DefaultParams())
+	batch := NewIndex(DefaultParams())
 	for i, s := range first {
 		seq.Insert(i, s)
-		par.Insert(i, s)
+		batch.Insert(i, s)
 	}
 	for i, s := range second {
 		seq.Insert(len(first)+i, s)
 	}
-	par.BatchInsert(len(first), second, 4)
+	batch.BatchInsert(len(first), second)
 
-	if !reflect.DeepEqual(seq.buckets, par.buckets) {
+	if !reflect.DeepEqual(seq.buckets, batch.buckets) {
 		t.Fatal("bucket maps differ after appending batch")
 	}
-	if seq.stats != par.stats {
-		t.Fatalf("stats differ: %+v vs %+v", par.stats, seq.stats)
+	if seq.stats != batch.stats {
+		t.Fatalf("stats differ: %+v vs %+v", batch.stats, seq.stats)
 	}
 }

@@ -313,42 +313,75 @@ func TestQueryProperties(t *testing.T) {
 }
 
 // TestBestWhereAgreesWithQuery: the sort-free scan must return exactly
-// the head of the sorted Query result under the same filter.
+// the head of the sorted Query result under the same filter — the same
+// id too, so ties at equal similarity (perfect matches included) go to
+// the lowest id. The crowded corpus draws 400 mutants of one sequence
+// over a small alphabet into capped buckets, so dedup, cap skips and
+// rejected candidates all interleave; its final stats are pinned to
+// what the earlier three-pass query (candidate list, then Jaccard
+// scores, then fold) accumulated on the same calls.
 func TestBestWhereAgreesWithQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cfg := &fingerprint.Config{K: 60, ShingleSize: 2, Seed: 4}
-	ix := NewIndex(Params{Rows: 2, Bands: 30})
-	var sigs []fingerprint.MinHash
-	for i := 0; i < 60; i++ {
-		base := randSeq(rng, 40+rng.Intn(40), 10)
-		sigs = append(sigs, cfg.New(base))
-		ix.Insert(i, sigs[i])
+	type corpus struct {
+		name    string
+		params  Params
+		sigs    []fingerprint.MinHash
+		minSim  float64
+		accepts []func(int) bool
+		stats   *IndexStats // final stats to pin, if any
 	}
-	reject := map[int]bool{3: true, 7: true, 20: true}
-	accept := func(id int) bool { return !reject[id] }
-	for i, s := range sigs {
-		want, wantOK := lshBestFromQuery(ix, i, s, 0.1, accept)
-		got, gotOK := ix.BestWhere(i, s, 0.1, accept)
-		if wantOK != gotOK {
-			t.Fatalf("id %d: found mismatch %v vs %v", i, wantOK, gotOK)
+	var corpora []corpus
+	{
+		rng := rand.New(rand.NewSource(12))
+		cfg := &fingerprint.Config{K: 60, ShingleSize: 2, Seed: 4}
+		var sigs []fingerprint.MinHash
+		for i := 0; i < 60; i++ {
+			sigs = append(sigs, cfg.New(randSeq(rng, 40+rng.Intn(40), 10)))
 		}
-		if !wantOK {
-			continue
+		reject := map[int]bool{3: true, 7: true, 20: true}
+		corpora = append(corpora, corpus{
+			name: "sparse", params: Params{Rows: 2, Bands: 30}, sigs: sigs, minSim: 0.1,
+			accepts: []func(int) bool{func(id int) bool { return !reject[id] }},
+		})
+	}
+	{
+		rng := rand.New(rand.NewSource(23))
+		cfg := fingerprint.DefaultConfig()
+		sigs := make([]fingerprint.MinHash, 400)
+		base := randSeq(rng, 40, 12) // small alphabet: crowded buckets
+		for i := range sigs {
+			sigs[i] = cfg.New(mutate(rng, base, rng.Intn(20), 12))
 		}
-		if got.Similarity != want.Similarity {
-			t.Fatalf("id %d: BestWhere=%+v Query-head=%+v", i, got, want)
+		corpora = append(corpora, corpus{
+			name: "crowded", params: Params{Rows: 2, Bands: 100, BucketCap: 10}, sigs: sigs, minSim: 0.3,
+			accepts: []func(int) bool{nil, func(id int) bool { return id%5 != 0 }},
+			stats: &IndexStats{Inserted: 400, BucketsUsed: 6225, MaxBucketLoad: 309,
+				Comparisons: 276512, CapSkips: 1493532, CandidatesFound: 800},
+		})
+	}
+
+	for _, c := range corpora {
+		// Query accumulates its own stats, so it runs on a twin index.
+		ix, ref := NewIndex(c.params), NewIndex(c.params)
+		ix.BatchInsert(0, c.sigs)
+		ref.BatchInsert(0, c.sigs)
+		for i, s := range c.sigs {
+			for _, accept := range c.accepts {
+				want, wantOK := lshBestFromQuery(ref, i, s, c.minSim, accept)
+				got, gotOK := ix.BestWhere(i, s, c.minSim, accept)
+				if wantOK != gotOK || got != want {
+					t.Fatalf("%s id %d: BestWhere=%+v,%v Query-head=%+v,%v", c.name, i, got, gotOK, want, wantOK)
+				}
+			}
 		}
-		// On perfect ties BestWhere may return any of the 1.0 matches
-		// (it stops early); otherwise the IDs must agree.
-		if got.Similarity < 1 && got.ID != want.ID {
-			t.Fatalf("id %d: BestWhere=%+v Query-head=%+v", i, got, want)
+		if c.stats != nil && ix.Stats() != *c.stats {
+			t.Errorf("%s: stats %+v, want %+v", c.name, ix.Stats(), *c.stats)
 		}
 	}
 }
 
 func lshBestFromQuery(ix *Index, id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool) (Candidate, bool) {
 	for _, c := range ix.Query(id, mh, minSim) {
-		if accept(c.ID) {
+		if accept == nil || accept(c.ID) {
 			return c, true
 		}
 	}

@@ -107,7 +107,7 @@ func TestPeekCandidatesConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for id := range sigs {
-			ix.BestWhereN(id, sigs[id], 0.05, nil, 1)
+			ix.BestWhere(id, sigs[id], 0.05, nil)
 		}
 	}()
 	wg.Wait()

@@ -2,11 +2,11 @@
 # check.sh — the repository's verification gate.
 #
 # Runs static analysis and the full test suite under the race detector.
-# The -race run is what guards the parallel preprocessing/ranking
-# pipeline (core.Config.Workers): the determinism and worker-pool tests
-# drive every stage with multiple goroutines, so a reintroduced data
-# race in the fingerprint config, the LSH batch build, or the ranking
-# fan-out fails here even on a single-CPU machine.
+# The -race run is what guards the parallel fingerprinting pool
+# (core.Config.Workers) and the serving store: the determinism and
+# worker-pool tests fingerprint with multiple goroutines, so a
+# reintroduced data race in the fingerprint config or the pool fails
+# here even on a single-CPU machine.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,9 +62,10 @@ go run ./cmd/f3m -check=validate -gen 200 -seed 5 >/dev/null
 echo "== f3m summary/merge cross-module gate"
 # The cross-module gate: summarize the two checked-in corpus modules,
 # merge them optimistically from the summaries under the translation
-# validator, and require (a) byte-identical reports at sequential vs
-# fully parallel settings and (b) zero misspeculated commits on clean
-# inputs. Summaries are regenerated into a temp dir so the gate also
+# validator, and require zero misspeculated commits on clean inputs and
+# at least one cross-module merge. (Summary merging starts no worker
+# pool, so there is no sequential-vs-parallel pair to compare.)
+# Summaries are regenerated into a temp dir so the gate also
 # proves `f3m summary` output still drives the merge (the golden test
 # separately pins the checked-in .sum files).
 XMOD="$(mktemp -d)"
@@ -72,13 +73,10 @@ trap 'rm -rf "$XMOD"' EXIT
 go run ./cmd/f3m summary -source xmod_a.ir -o "$XMOD/xmod_a.sum" cmd/f3m/testdata/xmod_a.ir
 go run ./cmd/f3m summary -source xmod_b.ir -o "$XMOD/xmod_b.sum" cmd/f3m/testdata/xmod_b.ir
 cp cmd/f3m/testdata/xmod_a.ir cmd/f3m/testdata/xmod_b.ir "$XMOD/"
-go run ./cmd/f3m merge -summaries -check=validate -workers 1 -v \
-    "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" | sed 's/^pass time:.*$//' >"$XMOD/seq.txt"
-go run ./cmd/f3m merge -summaries -check=validate -workers 8 -v \
-    "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" | sed 's/^pass time:.*$//' >"$XMOD/par.txt"
-cmp "$XMOD/seq.txt" "$XMOD/par.txt"
-grep -q "0 misspeculated" "$XMOD/seq.txt"
-grep -q "cross-module)" "$XMOD/seq.txt"
+go run ./cmd/f3m merge -summaries -check=validate -v \
+    "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" >"$XMOD/report.txt"
+grep -q "0 misspeculated" "$XMOD/report.txt"
+grep -q "cross-module)" "$XMOD/report.txt"
 
 echo "== f3m wat front-end gate"
 # The wat gate: the checked-in two-revision scanner corpus must lower,
