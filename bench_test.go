@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"f3m/internal/align"
 	"f3m/internal/analysis/summary"
 	"f3m/internal/core"
 	"f3m/internal/experiments"
@@ -235,23 +234,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkMergeStage measures a whole F3M pass — preprocessing, the
 // LSH build and the sequential rank/align/codegen/commit loop — on an
-// 800-function clone-rich module. `cache-hit-rate` is the fraction of
-// alignment lookups the pass answered from its own cache (pairs it
-// re-aligns after earlier attempts); `merges` pins the outcome, so a
+// 800-function clone-rich module. `merges` pins the outcome, so a
 // change that moves ns/op by merging differently shows up next to the
 // time. scripts/bench.sh records these numbers in BENCH_merge.json and
 // gates allocs/op against BENCH_budget.json.
 func BenchmarkMergeStage(b *testing.B) {
 	spec := irgen.SuiteSpec{Name: "mergebench", Funcs: 800, AvgInstrs: 22, CloneFraction: 0.45}
 	b.ReportAllocs()
-	var hits, lookups int64
 	merges := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m := irgen.Generate(spec.Config(3)).Module
 		cfg := core.DefaultConfig(core.F3MStatic)
-		cache := align.NewCache(0)
-		cfg.MergeOpts.AlignCache = cache
 		// Collect generator garbage outside the timed window so ns/op
 		// reflects the merge stage, not irgen's leftovers.
 		runtime.GC()
@@ -260,15 +254,7 @@ func BenchmarkMergeStage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		st := cache.Stats()
-		hits += st.Hits
-		lookups += st.Hits + st.Misses
 		merges = rep.Merges
-		b.StartTimer()
-	}
-	if lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-rate")
 	}
 	b.ReportMetric(float64(merges), "merges")
 }

@@ -77,7 +77,7 @@ func (buf *dpBuf) grow(cells, entries int) {
 //
 // The DP matrix and traceback scratch come from a pool shared by all
 // goroutines; the returned slice is freshly allocated and safe to
-// retain (the alignment cache does). High-similarity pairs take a
+// retain. High-similarity pairs take a
 // banded fast path that provably reproduces the full DP's traceback
 // (see nwBanded); the result is identical either way.
 func NeedlemanWunsch(a, b []fingerprint.Encoded) []Entry {
@@ -339,36 +339,6 @@ func FuncRatio(f1, f2 *ir.Function) float64 {
 	return nwRatio(a, b)
 }
 
-// Segment is a run of alignment columns that are either all matched or
-// all gaps; the merger turns matched segments into shared code and gap
-// segments into guarded copies.
-type Segment struct {
-	Matched bool
-	// A and B list the instruction indices covered on each side;
-	// one may be empty in a gap segment.
-	A, B []int
-}
-
-// Segments groups alignment columns into maximal matched/unmatched
-// runs.
-func Segments(entries []Entry) []Segment {
-	var segs []Segment
-	for _, e := range entries {
-		m := e.Matched()
-		if len(segs) == 0 || segs[len(segs)-1].Matched != m {
-			segs = append(segs, Segment{Matched: m})
-		}
-		s := &segs[len(segs)-1]
-		if e.A >= 0 {
-			s.A = append(s.A, e.A)
-		}
-		if e.B >= 0 {
-			s.B = append(s.B, e.B)
-		}
-	}
-	return segs
-}
-
 // BlockPair is a pairing of basic blocks across the two functions,
 // scored by alignment ratio of the block bodies.
 type BlockPair struct {
@@ -383,7 +353,7 @@ type matchCand struct {
 	dist int
 }
 
-// matchScratch pools MatchBlocksCached's per-call state — the pass
+// matchScratch pools greedyMatch's per-call state — the pass
 // runs once per merge attempt, so per-block fingerprint and flag
 // storage is recycled rather than reallocated.
 type matchScratch struct {
@@ -426,18 +396,11 @@ func growZero[T any](sp *[]T, n int) []T {
 // MatchBlocks greedily pairs similar blocks of f1 and f2, HyFM-style:
 // candidate pairs are ranked by block fingerprint distance, verified by
 // block-level alignment, and accepted when the match ratio reaches
-// minRatio. Unpaired blocks are returned separately.
+// minRatio. Unpaired blocks are returned separately. Per-block
+// fingerprints and encodings are computed once up front, not once per
+// candidate pair.
 func MatchBlocks(f1, f2 *ir.Function, minRatio float64) (pairs []BlockPair, unA, unB []*ir.Block) {
-	return MatchBlocksCached(f1, f2, minRatio, nil)
-}
-
-// MatchBlocksCached is MatchBlocks with the block-level alignments
-// routed through c (nil disables caching). The pairing decisions are
-// identical either way — the cache is exact — so callers can mix
-// cached and uncached invocations freely. Per-block fingerprints and
-// encodings are computed once up front, not once per candidate pair.
-func MatchBlocksCached(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs []BlockPair, unA, unB []*ir.Block) {
-	return greedyMatch(f1.Blocks, f2.Blocks, minRatio, cch, nil)
+	return greedyMatch(f1.Blocks, f2.Blocks, minRatio, nil)
 }
 
 // greedyMatch is the HyFM-style greedy pairing over two block slices:
@@ -446,7 +409,7 @@ func MatchBlocksCached(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs
 // CFG-aware matcher seeds it with the exact matches it already
 // accepted) and returns the blocks of each side left unpaired, in
 // slice order.
-func greedyMatch(blocksA, blocksB []*ir.Block, minRatio float64, cch *Cache, pairs []BlockPair) (outPairs []BlockPair, unA, unB []*ir.Block) {
+func greedyMatch(blocksA, blocksB []*ir.Block, minRatio float64, pairs []BlockPair) (outPairs []BlockPair, unA, unB []*ir.Block) {
 	nA, nB := len(blocksA), len(blocksB)
 	s := matchPool.Get().(*matchScratch)
 	defer s.release()
@@ -481,13 +444,7 @@ func greedyMatch(blocksA, blocksB []*ir.Block, minRatio float64, cch *Cache, pai
 		if encB[c.b] == nil {
 			encB[c.b] = fingerprint.EncodeBlock(blocksB[c.b])
 		}
-		ea, eb := encA[c.a], encB[c.b]
-		var r float64
-		if cch != nil {
-			r = Ratio(cch.NW(ea, eb), len(ea), len(eb))
-		} else {
-			r = nwRatio(ea, eb)
-		}
+		r := nwRatio(encA[c.a], encB[c.b])
 		if r < minRatio {
 			continue
 		}
@@ -505,18 +462,6 @@ func greedyMatch(blocksA, blocksB []*ir.Block, minRatio float64, cch *Cache, pai
 		}
 	}
 	return pairs, unA, unB
-}
-
-// BlockAlign aligns the bodies of two blocks and returns the segments.
-func BlockAlign(a, b *ir.Block) []Segment {
-	ea, eb := fingerprint.EncodeBlock(a), fingerprint.EncodeBlock(b)
-	if len(ea) == 0 && len(eb) == 0 {
-		return nil
-	}
-	buf := dpPool.Get().(*dpBuf)
-	segs := Segments(nwInto(buf, ea, eb))
-	dpPool.Put(buf)
-	return segs
 }
 
 // MergeRatio is the block-level alignment-quality metric the paper's

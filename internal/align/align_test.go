@@ -109,19 +109,30 @@ func TestNWOptimalOnKnownCase(t *testing.T) {
 	}
 }
 
-func TestSegments(t *testing.T) {
-	a := enc(1, 2, 9, 4)
-	b := enc(1, 2, 8, 8, 4)
-	segs := Segments(NeedlemanWunsch(a, b))
-	// matched [0,1], gap {2}/{2,3}, matched [3]/[4]
-	if len(segs) != 3 {
-		t.Fatalf("segments = %+v", segs)
+func randSeq(r *rand.Rand, n int) []fingerprint.Encoded {
+	out := make([]fingerprint.Encoded, n)
+	for i := range out {
+		// Small alphabet so random pairs still share matches.
+		out[i] = fingerprint.Encoded(r.Intn(12))
 	}
-	if !segs[0].Matched || segs[1].Matched || !segs[2].Matched {
-		t.Fatalf("segment kinds wrong: %+v", segs)
-	}
-	if len(segs[0].A) != 2 || len(segs[1].A) != 1 || len(segs[1].B) != 2 || len(segs[2].A) != 1 {
-		t.Fatalf("segment contents wrong: %+v", segs)
+	return out
+}
+
+// TestNWPooledAllocs pins the DP buffer pooling: after warmup, an
+// alignment must cost only the result slice, not a fresh score matrix
+// and traceback per call. This is the merge-stage allocation spike the
+// pool exists to kill.
+func TestNWPooledAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	a, b := randSeq(r, 64), randSeq(r, 60)
+	NeedlemanWunsch(a, b) // warm the pool
+	allocs := testing.AllocsPerRun(50, func() {
+		NeedlemanWunsch(a, b)
+	})
+	// One alloc for the returned entries plus pool slack; a naive
+	// implementation costs one allocation per DP row (60+).
+	if allocs > 8 {
+		t.Errorf("NeedlemanWunsch allocs/op = %v, want <= 8", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"f3m/internal/fingerprint"
@@ -43,7 +44,7 @@ func TestBandedMatchesFullOnCorpora(t *testing.T) {
 			for j := i + 1; j < len(encs); j += 7 {
 				got := NeedlemanWunsch(encs[i], encs[j])
 				want := fullReference(encs[i], encs[j])
-				if !entriesEqual(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d: banded alignment of %s vs %s diverges from full DP",
 						seed, m.Funcs[i].Name(), m.Funcs[j].Name())
 				}
@@ -89,7 +90,7 @@ func TestBandedAdversarialLowSimilarity(t *testing.T) {
 		}
 		got := NeedlemanWunsch(a, b)
 		want := fullReference(a, b)
-		if !entriesEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d m=%d): alignment diverges from full DP", trial, n, m)
 		}
 	}
@@ -113,7 +114,7 @@ func TestBandedShiftedWindows(t *testing.T) {
 		b = append(b, core...)
 		got := NeedlemanWunsch(a, b)
 		want := fullReference(a, b)
-		if !entriesEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("shift %d: alignment diverges from full DP", shift)
 		}
 	}

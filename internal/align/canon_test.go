@@ -156,19 +156,17 @@ func TestCanonicalizeDeterministic(t *testing.T) {
 func TestMatchBlocksCFGPermuted(t *testing.T) {
 	m := parseCanon(t)
 	f1, f2 := m.Func("orig"), m.Func("perm")
-	for _, cch := range []*Cache{nil, NewCache(0)} {
-		pairs, unA, unB, moves := MatchBlocksCFG(f1, f2, 0.5, cch)
-		if len(pairs) != 5 || len(unA) != 0 || len(unB) != 0 {
-			t.Fatalf("cache=%v: pairs=%d unA=%d unB=%d, want 5/0/0", cch != nil, len(pairs), len(unA), len(unB))
+	pairs, unA, unB, moves := MatchBlocksCFG(f1, f2, 0.5, nil)
+	if len(pairs) != 5 || len(unA) != 0 || len(unB) != 0 {
+		t.Fatalf("pairs=%d unA=%d unB=%d, want 5/0/0", len(pairs), len(unA), len(unB))
+	}
+	for _, p := range pairs {
+		if p.Ratio != 1 {
+			t.Errorf("pair %s/%s ratio = %v, want 1", p.A.Name(), p.B.Name(), p.Ratio)
 		}
-		for _, p := range pairs {
-			if p.Ratio != 1 {
-				t.Errorf("pair %s/%s ratio = %v, want 1", p.A.Name(), p.B.Name(), p.Ratio)
-			}
-		}
-		if moves == 0 {
-			t.Error("permuted layout reported zero block moves")
-		}
+	}
+	if moves == 0 {
+		t.Error("permuted layout reported zero block moves")
 	}
 }
 

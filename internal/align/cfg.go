@@ -5,6 +5,14 @@ import (
 	"f3m/internal/ir"
 )
 
+// Cache is an empty compile shim: the alignment cache it named was
+// deleted, and NewCache and MatchBlocksCFG's *Cache parameter stay only
+// because the perfbench module still calls them.
+type Cache struct{}
+
+// NewCache returns an empty Cache; its argument is ignored.
+func NewCache(int) *Cache { return &Cache{} }
+
 // MatchBlocksCFG pairs the blocks of f1 and f2 CFG-aware: both
 // functions are canonicalized into dominator-tree order (see
 // Canonicalize), the two canonical block-fingerprint sequences are
@@ -15,27 +23,18 @@ import (
 // back to the greedy fingerprint-distance matcher of MatchBlocks, so
 // the result is never weaker than running the greedy matcher alone on
 // those blocks. The (pairs, unA, unB) artifact is exactly what
-// MatchBlocksCached produces and feeds the same merged-code generator.
+// MatchBlocks produces and feeds the same merged-code generator.
 //
 // moves counts accepted pairs whose two blocks sit at different layout
 // indices in their functions — the reorder the sequence-order pipeline
 // would have mis-aligned; it feeds the align.cfg.block_moves histogram.
 //
-// Both the block-fingerprint alignment and the body verifications are
-// routed through cch (nil disables caching). Because the canonical
-// sequences are layout-independent, the cache keys are too: a permuted
-// clone pair hits the entries an earlier attempt on the same bodies in
-// another layout stored.
-func MatchBlocksCFG(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs []BlockPair, unA, unB []*ir.Block, moves int) {
+// The last parameter is ignored; see Cache.
+func MatchBlocksCFG(f1, f2 *ir.Function, minRatio float64, _ *Cache) (pairs []BlockPair, unA, unB []*ir.Block, moves int) {
 	o1 := Canonicalize(f1, nil)
 	o2 := Canonicalize(f2, nil)
 
-	var entries []Entry
-	if cch != nil {
-		entries = cch.NW(o1.Fps, o2.Fps)
-	} else {
-		entries = NeedlemanWunsch(o1.Fps, o2.Fps)
-	}
+	entries := NeedlemanWunsch(o1.Fps, o2.Fps)
 
 	takenA := make(map[*ir.Block]bool, len(o1.Blocks))
 	takenB := make(map[*ir.Block]bool, len(o2.Blocks))
@@ -44,13 +43,7 @@ func MatchBlocksCFG(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs []
 			continue
 		}
 		a, b := o1.Blocks[e.A], o2.Blocks[e.B]
-		ea, eb := fingerprint.EncodeBlock(a), fingerprint.EncodeBlock(b)
-		var r float64
-		if cch != nil {
-			r = Ratio(cch.NW(ea, eb), len(ea), len(eb))
-		} else {
-			r = nwRatio(ea, eb)
-		}
+		r := nwRatio(fingerprint.EncodeBlock(a), fingerprint.EncodeBlock(b))
 		if r < minRatio {
 			continue // fingerprint collision or sub-threshold body
 		}
@@ -71,7 +64,7 @@ func MatchBlocksCFG(f1, f2 *ir.Function, minRatio float64, cch *Cache) (pairs []
 			restB = append(restB, b)
 		}
 	}
-	pairs, unA, unB = greedyMatch(restA, restB, minRatio, cch, pairs)
+	pairs, unA, unB = greedyMatch(restA, restB, minRatio, pairs)
 
 	layoutA := make(map[*ir.Block]int, len(f1.Blocks))
 	for i, b := range f1.Blocks {

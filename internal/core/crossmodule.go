@@ -27,7 +27,6 @@ package core
 // that never planned the bad pair.
 
 import (
-	"f3m/internal/align"
 	"f3m/internal/analysis"
 	"f3m/internal/analysis/summary"
 	"f3m/internal/ir"
@@ -85,16 +84,9 @@ func RunSummaryMerge(name string, mods []*ir.Module, ix *summary.Index, cfg Conf
 	if cfg.Check < CheckValidate {
 		cfg.Check = CheckValidate
 	}
-	// The call index and cache are per linked module; a caller-supplied
-	// index would describe the wrong module. The align cache is the one
-	// carry-over that is safe and profitable across replays: linked
-	// modules share mods[0].Ctx, so encodings — the cache keys — are
-	// stable, and the cache is exact and outcome-neutral.
+	// The call index is per linked module; a caller-supplied index
+	// would describe the wrong module.
 	cfg.MergeOpts.Index = nil
-	cfg.MergeOpts.CallSiteCount = nil
-	if cfg.MergeOpts.AlignCache == nil {
-		cfg.MergeOpts.AlignCache = align.NewCache(0)
-	}
 
 	threshold := cfg.Threshold
 	if threshold < 0 {
@@ -204,7 +196,6 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 	}
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)
-	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
 	publishRunMetrics(rep, cfg)
 	return rep, stats, "", nil
 }

@@ -291,85 +291,3 @@ func moduleFuncNames(m *ir.Module) string {
 	}
 	return strings.Join(names, ",")
 }
-
-// TestCachePoisonIllFormed injects structurally broken cache entries
-// into every merge attempt of a full pipeline run. Validation must
-// reject each one and recompute, leaving the report byte-identical to
-// a clean run and the strict checks silent.
-func TestCachePoisonIllFormed(t *testing.T) {
-	cleanRep, _ := runDetRun(t, F3MStatic, irgen.DefaultConfig(42), 1)
-	cleanKey := reportKey(t, cleanRep)
-
-	m := irgen.Generate(irgen.DefaultConfig(42)).Module
-	cch := align.NewCache(0)
-	cfg := DefaultConfig(F3MStatic)
-	cfg.Check = CheckStrict
-	cfg.Metrics = obs.NewMetrics()
-	cfg.MergeOpts.AlignCache = cch
-
-	orig := mergePair
-	mergePair = func(mm *ir.Module, a, b *ir.Function, opts merge.Options) (*merge.Result, error) {
-		cch.CorruptNextForTest(1, true)
-		return orig(mm, a, b, opts)
-	}
-	defer func() { mergePair = orig }()
-
-	rep, err := Run(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key := reportKey(t, rep); key != cleanKey {
-		t.Errorf("poisoned-cache report differs from clean run:\n--- clean ---\n%s\n--- poisoned ---\n%s", cleanKey, key)
-	}
-	if st := cch.Stats(); st.Rejects == 0 {
-		t.Error("no cache rejects recorded; the fault never fired")
-	}
-	if len(rep.Diagnostics) != 0 {
-		t.Errorf("strict diagnostics under cache poisoning: %v", rep.Diagnostics)
-	}
-}
-
-// TestCachePoisonWellFormed injects legal-but-wrong (all-gap) cache
-// entries, which pass validation by construction. Merge decisions may
-// shift, but the merger's own operand re-verification must keep the
-// module valid and semantics intact.
-func TestCachePoisonWellFormed(t *testing.T) {
-	gcfg := irgen.DefaultConfig(42)
-	gcfg.Callers = 0
-	ref := irgen.Generate(gcfg).Module
-	drivers := addDrivers(ref)
-	want := make(map[string]int64, len(drivers))
-	for _, d := range drivers {
-		want[d] = runDriver(t, ref, d)
-	}
-
-	work := irgen.Generate(gcfg).Module
-	addDrivers(work)
-	cch := align.NewCache(0)
-	cfg := DefaultConfig(F3MStatic)
-	cfg.Check = CheckStrict
-	cfg.MergeOpts.AlignCache = cch
-
-	orig := mergePair
-	mergePair = func(mm *ir.Module, a, b *ir.Function, opts merge.Options) (*merge.Result, error) {
-		cch.CorruptNextForTest(1, false)
-		return orig(mm, a, b, opts)
-	}
-	defer func() { mergePair = orig }()
-
-	rep, err := Run(work, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Diagnostics) != 0 {
-		t.Errorf("strict diagnostics under well-formed poisoning: %v", rep.Diagnostics)
-	}
-	if err := ir.VerifyModule(work); err != nil {
-		t.Fatalf("module invalid: %v", err)
-	}
-	for _, d := range drivers {
-		if got := runDriver(t, work, d); got != want[d] {
-			t.Errorf("%s = %d, want %d", d, got, want[d])
-		}
-	}
-}

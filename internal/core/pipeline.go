@@ -15,11 +15,10 @@
 //
 // Run is the authoritative entry point for batch (one-shot) use and for
 // the merge-as-a-service daemon alike: internal/serve replays Run over
-// its live module set on every incremental re-merge, passing a
-// persistent alignment cache through Config.MergeOpts. Because the
-// cache is outcome-neutral and the Report is identical for every
-// Workers value, the daemon's reports stay byte-identical
-// to a one-shot run over the same modules (DESIGN.md, "Serving").
+// its live module set on every re-merge. Because the Report is
+// identical for every Workers value, the daemon's reports stay
+// byte-identical to a one-shot run over the same modules (DESIGN.md,
+// "Serving").
 package core
 
 import (
@@ -137,12 +136,9 @@ type Config struct {
 	// of nearly equal similarity, the ranking prefers the least
 	// frequently executed one, steering merge overhead away from hot
 	// code. The value is a per-function execution weight (e.g. call
-	// counts from the interpreter).
+	// counts from the interpreter); candidates within hotnessSlack of
+	// the best similarity count as equally good.
 	Hotness func(name string) float64
-
-	// HotnessSlack is the similarity band treated as "equally good"
-	// when Hotness is set (default 0.05).
-	HotnessSlack float64
 
 	// HotSkip, when positive and Hotness is set, excludes functions
 	// with hotness >= HotSkip from merging altogether: guard and
@@ -176,6 +172,10 @@ type Config struct {
 	// Report.Diagnostics is identical for every Workers setting.
 	Check CheckMode
 }
+
+// hotnessSlack is the similarity band Config.Hotness treats as
+// "equally good".
+const hotnessSlack = 0.05
 
 // DefaultConfig returns the configuration for a strategy with the
 // paper's defaults.
@@ -298,7 +298,7 @@ func Run(m *ir.Module, cfg Config) (*Report, error) {
 // profitability and for rewriting call sites without whole-module
 // walks (one walk here instead of two per commit).
 func withCallIndex(m *ir.Module, cfg Config) Config {
-	if cfg.MergeOpts.Index == nil && cfg.MergeOpts.CallSiteCount == nil {
+	if cfg.MergeOpts.Index == nil {
 		cfg.MergeOpts.Index = merge.NewCallIndex(m)
 	}
 	// The translation validator compares every commit against the
@@ -464,30 +464,12 @@ func publishRunMetrics(rep *Report, cfg Config) {
 	mx.VolatileGauge("time.total_ns").Set(float64(t.Total()))
 }
 
-// publishCacheMetrics exports the alignment-cache counters. Hit and
-// miss counts depend on what the cache already held — callers may
-// share one cache across runs (the serving daemon does, and
-// RunSummaryMerge keeps it across replays) — so all four are volatile.
-func publishCacheMetrics(mx *obs.Metrics, c *align.Cache) {
-	if mx == nil || c == nil {
-		return
-	}
-	st := c.Stats()
-	mx.VolatileCounter("merge.cache_hit").Add(st.Hits)
-	mx.VolatileCounter("merge.cache_miss").Add(st.Misses)
-	mx.VolatileCounter("merge.cache_reject").Add(st.Rejects)
-	mx.VolatileCounter("merge.cache_evict").Add(st.Evictions)
-}
-
 // runHyFM is the baseline: exhaustive nearest-neighbour ranking over
 // opcode-frequency fingerprints.
 func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 	rep := &Report{Strategy: HyFM}
 	rep.SizeBefore = ModuleCost(m)
 	cfg = withCallIndex(m, cfg)
-	if cfg.MergeOpts.AlignCache == nil {
-		cfg.MergeOpts.AlignCache = align.NewCache(0)
-	}
 	mx := cfg.Metrics
 	eng := startChecks(m, cfg)
 
@@ -535,7 +517,6 @@ func runHyFM(m *ir.Module, cfg Config) (*Report, error) {
 	loop.End()
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)
-	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
 	publishRunMetrics(rep, cfg)
 	return rep, nil
 }
@@ -576,9 +557,6 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 		}
 	}
 	cfg = withCallIndex(m, cfg)
-	if cfg.MergeOpts.AlignCache == nil {
-		cfg.MergeOpts.AlignCache = align.NewCache(0)
-	}
 	mx := cfg.Metrics
 	eng := startChecks(m, cfg)
 
@@ -701,13 +679,9 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 				}
 			}
 			if found {
-				slack := cfg.HotnessSlack
-				if slack == 0 {
-					slack = 0.05
-				}
 				coldest := cfg.Hotness(funcs[best.ID].Name())
 				for _, c := range cands {
-					if !accept(c.ID) || c.Similarity < best.Similarity-slack {
+					if !accept(c.ID) || c.Similarity < best.Similarity-hotnessSlack {
 						continue
 					}
 					if h := cfg.Hotness(funcs[c.ID].Name()); h < coldest {
@@ -743,7 +717,6 @@ func runF3M(m *ir.Module, cfg Config) (*Report, error) {
 	ix.PublishMetrics(mx)
 	mx.Counter(obs.FunnelCompared).Add(rep.LSHStats.Comparisons)
 	mx.Counter(obs.FunnelAboveThreshold).Add(rep.LSHStats.CandidatesFound)
-	publishCacheMetrics(mx, cfg.MergeOpts.AlignCache)
 	publishRunMetrics(rep, cfg)
 	return rep, nil
 }

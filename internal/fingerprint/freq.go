@@ -20,14 +20,6 @@ func FreqFunc(f *ir.Function) *FreqVector {
 	return &v
 }
 
-// FreqBlock builds the opcode-frequency fingerprint of a basic block;
-// HyFM's block-level alignment ranks block pairs with these.
-func FreqBlock(b *ir.Block) *FreqVector {
-	var v FreqVector
-	FreqBlockInto(b, &v)
-	return &v
-}
-
 // FreqBlockInto fills v with the opcode-frequency fingerprint of b,
 // overwriting previous contents. Callers that score many blocks use it
 // to keep the vectors in a reusable backing array instead of

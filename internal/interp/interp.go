@@ -144,9 +144,6 @@ func NewMachine(m *ir.Module) *Machine {
 	return mach
 }
 
-// GlobalObject returns the memory object backing a global.
-func (m *Machine) GlobalObject(g *ir.GlobalVar) *Object { return m.globals[g] }
-
 // slotCount returns how many scalar slots a type occupies.
 func slotCount(t *ir.Type) int {
 	switch t.Kind {

@@ -153,16 +153,6 @@ func (op Opcode) IsCast() bool {
 	return op >= OpTrunc && op <= OpBitcast
 }
 
-// IsCommutative reports whether operand order is semantically
-// irrelevant for the opcode.
-func (op Opcode) IsCommutative() bool {
-	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpFAdd, OpFMul:
-		return true
-	}
-	return false
-}
-
 // HasSideEffects reports whether the instruction may write memory or
 // transfer control, making it ineligible for dead-code removal.
 func (op Opcode) HasSideEffects() bool {

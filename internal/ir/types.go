@@ -210,13 +210,6 @@ func typeKey(t *Type) string {
 	return string(b)
 }
 
-// NumTypes returns how many distinct types have been interned.
-func (c *TypeContext) NumTypes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.next
-}
-
 // Int returns the integer type of the given bit width.
 func (c *TypeContext) Int(bits int) *Type {
 	return c.intern(&Type{Kind: IntKind, Bits: bits})

@@ -48,18 +48,6 @@ var Suites = []SuiteSpec{
 	{Name: "chrome-shaped", Funcs: 50000, AvgInstrs: 18, CloneFraction: 0.50},
 }
 
-// SmallSuites returns the profiles small enough for full-pipeline runs
-// in tests (sub-second generation, seconds-scale merging).
-func SmallSuites() []SuiteSpec {
-	var out []SuiteSpec
-	for _, s := range Suites {
-		if s.Funcs <= 3000 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Config derives a generator config realizing the suite shape.
 func (s SuiteSpec) Config(seed int64) Config {
 	famFuncs := int(float64(s.Funcs) * s.CloneFraction)

@@ -36,8 +36,7 @@ type mergeGen struct {
 	pend []pendInstr
 
 	// encA/encB/cols are emitPair's per-block scratch, reused across
-	// blocks. The cache interns what it keeps, so the encode buffers
-	// never escape the call.
+	// blocks.
 	encA, encB []fingerprint.Encoded
 	cols       []column
 
@@ -176,9 +175,9 @@ func (g *mergeGen) run(name string) (*ir.Function, error) {
 	var pairs []align.BlockPair
 	var unA, unB []*ir.Block
 	if g.opts.CFGAlign {
-		pairs, unA, unB, g.blockMoves = align.MatchBlocksCFG(g.ca, g.cb, g.opts.MinBlockRatio, g.opts.AlignCache)
+		pairs, unA, unB, g.blockMoves = align.MatchBlocksCFG(g.ca, g.cb, g.opts.MinBlockRatio, nil)
 	} else {
-		pairs, unA, unB = align.MatchBlocksCached(g.ca, g.cb, g.opts.MinBlockRatio, g.opts.AlignCache)
+		pairs, unA, unB = align.MatchBlocks(g.ca, g.cb, g.opts.MinBlockRatio)
 	}
 	g.alignScore = alignScoreOf(pairs, g.ca, g.cb)
 	g.alignDur = time.Since(alignStart)
@@ -219,13 +218,11 @@ func (g *mergeGen) run(name string) (*ir.Function, error) {
 
 	passes.RepairSSAIn(g.fm, g.arena)
 	passes.HoistAllocas(g.fm)
-	if !g.opts.SkipCleanup {
-		passes.Mem2RegIn(g.fm, g.arena)
-		passes.ElimRedundantPhis(g.fm) // minimal-SSA phis that select nothing
-		passes.ConstFold(g.fm)         // selects over equal values, degenerate conds
-		passes.SimplifyCFG(g.fm)
-		passes.DCE(g.fm)
-	}
+	passes.Mem2RegIn(g.fm, g.arena)
+	passes.ElimRedundantPhis(g.fm) // minimal-SSA phis that select nothing
+	passes.ConstFold(g.fm)         // selects over equal values, degenerate conds
+	passes.SimplifyCFG(g.fm)
+	passes.DCE(g.fm)
 	if err := ir.VerifyFunc(g.fm); err != nil {
 		return g.fm, fmt.Errorf("merge: generated function is invalid: %w", err)
 	}
@@ -324,7 +321,7 @@ func (g *mergeGen) emitPair(p align.BlockPair) {
 		encB[i] = fingerprint.EncodeInstr(in)
 	}
 	g.encA, g.encB = encA, encB
-	entries := g.opts.AlignCache.NW(encA, encB)
+	entries := align.NeedlemanWunsch(encA, encB)
 
 	cols := g.cols[:0]
 	for _, e := range entries {

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"f3m/internal/align"
 	"f3m/internal/ir"
 	"f3m/internal/passes"
 )
@@ -41,29 +40,13 @@ type Options struct {
 	// be merged as a unit (blocks below it are emitted separately).
 	MinBlockRatio float64
 
-	// SkipCleanup disables the post-merge Mem2Reg/SimplifyCFG/DCE
-	// passes; useful for inspecting raw merger output in tests.
-	SkipCleanup bool
-
-	// CallSiteCount, when set, reports how many direct call sites
-	// reference a function. Profitability then charges the argument
-	// growth Commit would cause at those sites (the function
-	// identifier plus undef placeholders for unshared parameters).
-	CallSiteCount func(*ir.Function) int
-
 	// Index, when set, supplies live call-site and address-taken
 	// information and lets Commit rewrite call sites without walking
-	// the whole module (essential for large-module runs). It takes
-	// precedence over CallSiteCount.
+	// the whole module (essential for large-module runs). Profitability
+	// then charges the argument growth Commit would cause at the
+	// direct call sites it counts (the function identifier plus undef
+	// placeholders for unshared parameters).
 	Index *CallIndex
-
-	// AlignCache, when set, memoizes the Needleman–Wunsch alignments
-	// the code generator performs (block pairing and paired-block
-	// bodies). The cache is exact — identical results with or without
-	// it — and safe to share across goroutines; the pipeline uses one
-	// per run, and the serving daemon keeps one across runs. Nil
-	// disables caching.
-	AlignCache *align.Cache
 
 	// SnapshotOriginals makes Commit clone the pre-merge bodies of both
 	// originals into CommitSide.Snapshot before rewriting anything. The
@@ -102,7 +85,7 @@ type Result struct {
 	CostA, CostB, CostMerged int
 
 	// CallOverhead is the size-model cost the call-site rewrite adds
-	// (0 when Options.CallSiteCount is unset).
+	// (0 when Options.Index is unset).
 	CallOverhead int
 
 	// AlignDur and CodegenDur break the merge attempt into the two
@@ -213,14 +196,10 @@ func Pair(m *ir.Module, fa, fb *ir.Function, opts Options) (*Result, error) {
 		AlignScore: g.alignScore,
 		BlockMoves: g.blockMoves,
 	}
-	countSites := opts.CallSiteCount
 	if opts.Index != nil {
-		countSites = opts.Index.NumCallSites
-	}
-	if countSites != nil {
 		extraA := len(merged.Params) - len(fa.Params)
 		extraB := len(merged.Params) - len(fb.Params)
-		res.CallOverhead = countSites(fa)*extraA + countSites(fb)*extraB
+		res.CallOverhead = opts.Index.NumCallSites(fa)*extraA + opts.Index.NumCallSites(fb)*extraB
 	}
 	res.idx = opts.Index
 	res.snapshot = opts.SnapshotOriginals

@@ -2,7 +2,7 @@
 // merge-as-a-service daemon: a concurrently readable similarity store
 // over the LSH index plus an HTTP/JSON API (stdlib
 // only) for streaming module submissions, removals, near-duplicate
-// queries, incremental re-merges and index snapshot/restore.
+// queries, re-merges of the live corpus and index snapshot/restore.
 //
 // The layering is deliberate:
 //
@@ -19,10 +19,10 @@
 //     the lifecycle: submissions are verified, canonicalized and
 //     fingerprinted into the store; Merge links a name-ordered
 //     snapshot of the live modules and replays the authoritative
-//     core.Run pipeline over it, reusing the validated alignment
-//     cache across merges so repeat merges get cheaper while reports
-//     stay byte-identical to a one-shot run over the same module set
-//     (see DESIGN.md "Serving").
+//     core.Run pipeline over it from the module texts alone, so
+//     reports stay byte-identical to a one-shot run over the same
+//     module set and a repeat merge costs what the first did (see
+//     DESIGN.md "Serving").
 //   - The HTTP layer (http.go) maps the API onto Server methods, with
 //     per-endpoint obs counters, the serve.requests/serve.latency_ms
 //     aggregates, request spans, and graceful-shutdown draining: once

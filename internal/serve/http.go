@@ -36,7 +36,7 @@ func Routes() []Route {
 		{"DELETE", "/v1/modules/{name}", "modules.remove", "remove a module and unindex its functions"},
 		{"GET", "/v1/summaries", "summaries", "per-function merge summaries of every live module (cross-module planning input)"},
 		{"POST", "/v1/query", "query", "find near-duplicates of a stored or inline function"},
-		{"POST", "/v1/merge", "merge", "incrementally re-merge the live corpus"},
+		{"POST", "/v1/merge", "merge", "re-merge the live corpus"},
 		{"GET", "/v1/report", "report", "last merge report (summary, pairs, diagnostics)"},
 		{"GET", "/v1/merged", "merged", "textual IR of the last merged module"},
 		{"GET", "/v1/metrics", "metrics", "metrics registry (JSON; ?format=text for funnel+text)"},

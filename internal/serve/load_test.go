@@ -17,9 +17,8 @@ import (
 // N concurrent clients drive submit/query/remove/merge traffic, and the
 // final merge report must be byte-identical — same CanonicalReport,
 // same SHA-256 key — to a one-shot core.Run over the same module set,
-// regardless of client count, interleaving, mid-run merges or the
-// persistent alignment cache. Run with -race this doubles as the
-// serving layer's lock-discipline test.
+// regardless of client count, interleaving or mid-run merges. Run with
+// -race this doubles as the serving layer's lock-discipline test.
 func TestLoadByteIdenticalReports(t *testing.T) {
 	for _, clients := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
@@ -116,7 +115,7 @@ func runLoad(t *testing.T, clients int) {
 
 	// One-shot equivalent: canonicalize and link the same module set in
 	// name order, run the pipeline with a different worker schedule and
-	// no alignment-cache history, and compare canonical reports.
+	// no merge history, and compare canonical reports.
 	names := make([]string, 0, len(perm))
 	for n := range perm {
 		names = append(names, n)

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"f3m/internal/align"
 	"f3m/internal/core"
 	"f3m/internal/fingerprint"
 	"f3m/internal/ir"
@@ -175,8 +174,7 @@ type Server struct {
 
 	// mergeMu serializes merges (one authoritative merge at a time;
 	// queries and submissions proceed concurrently).
-	mergeMu    sync.Mutex
-	alignCache *align.Cache
+	mergeMu sync.Mutex
 
 	// last merge state, guarded by mu.
 	lastSummary *MergeSummary
@@ -199,7 +197,6 @@ func NewServer(cfg Config) *Server {
 		cfg:        cfg,
 		mx:         cfg.Metrics,
 		modules:    make(map[string]*moduleEntry),
-		alignCache: align.NewCache(0),
 		shutdownCh: make(chan struct{}),
 	}
 	s.store.Store(NewStore(cfg.Store))
@@ -462,12 +459,11 @@ func (s *Server) QueryIR(src, fn string, minSim float64, k int) ([]Match, error)
 
 // Merge links a name-ordered snapshot of the live modules and runs the
 // configured merging pipeline over it, exactly as a one-shot `f3m` run
-// over the same files would. The validated alignment cache persists
-// across merges, so repeat merges after incremental submissions reuse
-// prior alignments; the cache is outcome-neutral by construction
-// (exact, revalidated on every hit), which is what keeps the summary's
-// ReportKey — and the underlying report — byte-identical to the
-// one-shot pipeline regardless of service history.
+// over the same files would. Each merge starts from the module texts
+// alone and carries nothing over from earlier merges, so a repeat
+// merge costs what the first did, and the summary's ReportKey — and
+// the underlying report — is byte-identical to the one-shot pipeline
+// regardless of service history.
 func (s *Server) Merge() (MergeSummary, error) {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
@@ -520,7 +516,6 @@ func (s *Server) Merge() (MergeSummary, error) {
 	cfg.Check = s.cfg.Check
 	cfg.Metrics = s.mx
 	cfg.Tracer = s.cfg.Tracer
-	cfg.MergeOpts.AlignCache = s.alignCache
 
 	rep, err := core.Run(linked, cfg)
 	if err != nil {

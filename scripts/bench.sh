@@ -2,12 +2,12 @@
 # bench.sh — merge-stage perf regression snapshot.
 #
 # Runs BenchmarkMergeStage (a whole F3M pass: preprocessing plus the
-# sequential merge/commit loop with its pooled-DP alignment cache) and
-# writes the numbers to BENCH_merge.json so the perf trajectory — ns/op,
-# allocs/op, the pass's cache hit rate and its merge count — is tracked
-# across PRs. It also runs BenchmarkSummaryExtract (the per-module half
-# of the cross-module workflow) and writes summaries/sec plus bytes/func
-# to BENCH_summary.json, and BenchmarkAlignStrategies (sequence vs
+# sequential merge/commit loop) and writes the numbers to
+# BENCH_merge.json so the perf trajectory — ns/op, allocs/op and the
+# pass's merge count — is tracked across PRs. It also runs
+# BenchmarkSummaryExtract (the per-module half of the cross-module
+# workflow) and writes summaries/sec plus bytes/func to
+# BENCH_summary.json, and BenchmarkAlignStrategies (sequence vs
 # CFG-aware pipeline on block-permuted twin populations) and writes
 # ns/op, mean alignment score, mean block moves and committed merges
 # per strategy to BENCH_align.json. BENCHTIME and the output paths are
@@ -37,17 +37,16 @@ go test -run '^$' -bench '^BenchmarkMergeStage$' -benchmem -benchtime "$BENCHTIM
 
 awk '
 /^BenchmarkMergeStage/ {
-    ns = ""; bytes = ""; allocs = ""; hit = ""; merges = ""
+    ns = ""; bytes = ""; allocs = ""; merges = ""
     for (i = 3; i < NF; i += 2) {
         v = $i; u = $(i + 1)
         if (u == "ns/op") ns = v
         else if (u == "B/op") bytes = v
         else if (u == "allocs/op") allocs = v
-        else if (u == "cache-hit-rate") hit = v
         else if (u == "merges") merges = v
     }
-    printf "[\n  {\"bench\": \"MergeStage\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"cache_hit_rate\": %s, \"merges\": %s}\n]\n", \
-        ns, bytes, allocs, (hit == "" ? "null" : hit), (merges == "" ? "null" : merges)
+    printf "[\n  {\"bench\": \"MergeStage\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"merges\": %s}\n]\n", \
+        ns, bytes, allocs, (merges == "" ? "null" : merges)
 }
 ' "$RAW" >"$OUT"
 
