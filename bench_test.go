@@ -16,6 +16,7 @@ import (
 	"f3m/internal/core"
 	"f3m/internal/experiments"
 	"f3m/internal/fingerprint"
+	"f3m/internal/ir"
 	"f3m/internal/irgen"
 	"f3m/internal/lsh"
 	"f3m/internal/merge"
@@ -355,6 +356,33 @@ func BenchmarkSummaryExtract(b *testing.B) {
 			b.ReportMetric(float64(funcs)*float64(b.N)/s, "summaries/s")
 		}
 		b.ReportMetric(float64(bytes)/float64(funcs), "bytes/func")
+	}
+}
+
+// BenchmarkLinkModules measures the link half of the cross-module
+// workflow: the 445.gobmk row split into 4 translation units, each in
+// its own TypeContext, linked back into one module (types re-interned
+// into the first unit's context, bodies cloned, every body and the
+// result verified). scripts/bench.sh records it as the second row of
+// BENCH_summary.json and gates its allocs/op against
+// BENCH_budget.json.
+func BenchmarkLinkModules(b *testing.B) {
+	var spec irgen.SuiteSpec
+	for _, s := range irgen.Suites {
+		if s.Name == "445.gobmk" {
+			spec = s
+		}
+	}
+	parts, err := ir.SplitModule(irgen.Generate(spec.Config(1)).Module, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ir.LinkModules("linked", parts...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -13,67 +13,69 @@ import "fmt"
 //   - globals unify by name and type, keeping the initializer (two
 //     different initializers conflict).
 //
-// Inputs are not modified. Modules whose TypeContext differs from the
-// first input's are renormalized through the textual form so the
-// result has one coherent context.
+// The result lives in the first input's TypeContext. Inputs in another
+// context are moved structurally: their types are re-interned in the
+// result's context, in the order a print/parse round-trip would meet
+// them, and their constants are copied with the re-interned types.
+// Inputs are not modified, and neither are their contexts.
 func LinkModules(name string, mods ...*Module) (*Module, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("ir: link: no input modules")
 	}
 	ctx := mods[0].Ctx
-	var inputs []*Module
-	for _, m := range mods {
+	// Every foreign type is interned before the result is built, so the
+	// dense IDs do not depend on what verification interns later.
+	imps := make([]*typeImporter, len(mods))
+	var foreign *typeImporter
+	for k, m := range mods {
 		if m.Ctx == ctx {
-			inputs = append(inputs, m)
 			continue
 		}
-		re, err := reparseInto(ctx, m)
-		if err != nil {
-			return nil, err
+		if foreign == nil {
+			foreign = newTypeImporter(ctx)
 		}
-		inputs = append(inputs, re)
+		foreign.module(m)
+		imps[k] = foreign
 	}
 
-	out := &Module{
-		Name:       name,
-		Ctx:        ctx,
-		funcByName: make(map[string]*Function),
-		globByName: make(map[string]*GlobalVar),
-	}
+	out := NewModuleInCtx(name, ctx)
 
 	// Globals: unify by name.
-	for _, m := range inputs {
+	for k, m := range mods {
+		im := imps[k]
 		for _, g := range m.Globs {
+			elem, init := im.typ(g.Elem), im.constant(g.Init)
 			prev := out.Global(g.Nam)
 			if prev == nil {
-				out.NewGlobal(g.Nam, g.Elem, g.Init)
+				out.NewGlobal(g.Nam, elem, init)
 				continue
 			}
-			if prev.Elem != g.Elem {
-				return nil, fmt.Errorf("ir: link: global @%s has conflicting types %s and %s", g.Nam, prev.Elem, g.Elem)
+			if prev.Elem != elem {
+				return nil, fmt.Errorf("ir: link: global @%s has conflicting types %s and %s", g.Nam, prev.Elem, elem)
 			}
-			if g.Init != nil {
-				if prev.Init != nil && !ConstEqual(prev.Init, g.Init) {
+			if init != nil {
+				if prev.Init != nil && !ConstEqual(prev.Init, init) {
 					return nil, fmt.Errorf("ir: link: global @%s multiply initialized", g.Nam)
 				}
-				prev.Init = g.Init
+				prev.Init = init
 			}
 		}
 	}
 
 	// Function headers: declarations merge into definitions.
+	type body struct {
+		src *Function
+		im  *typeImporter
+	}
 	defined := make(map[string]bool)
-	var bodies []*Function
-	for _, m := range inputs {
+	var bodies []body
+	for k, m := range mods {
+		im := imps[k]
 		for _, f := range m.Funcs {
-			prev := out.Func(f.Nam)
-			if prev == nil {
-				nf := out.NewFunc(f.Nam, f.Sig)
-				for i, p := range f.Params {
-					nf.Params[i].Nam = p.Nam
-				}
-			} else if prev.Sig != f.Sig {
-				return nil, fmt.Errorf("ir: link: function @%s has conflicting signatures %s and %s", f.Nam, prev.Sig, f.Sig)
+			if prev := out.Func(f.Nam); prev == nil {
+				declareInto(out, f, im)
+			} else if sig := im.typ(f.Sig); prev.Sig != sig {
+				return nil, fmt.Errorf("ir: link: function @%s has conflicting signatures %s and %s", f.Nam, prev.Sig, sig)
 			}
 			if f.IsDecl() {
 				continue
@@ -82,18 +84,18 @@ func LinkModules(name string, mods ...*Module) (*Module, error) {
 				return nil, fmt.Errorf("ir: link: function @%s multiply defined", f.Nam)
 			}
 			defined[f.Nam] = true
-			bodies = append(bodies, f)
+			bodies = append(bodies, body{f, im})
 		}
 	}
 
 	// Copy bodies, remapping references into the output module, and
 	// verify each linked body so a failure names the function that was
 	// being linked rather than just the output module.
-	for _, src := range bodies {
-		dst := out.Func(src.Nam)
-		cloneBodyInto(out, dst, src)
+	for _, b := range bodies {
+		dst := out.Func(b.src.Nam)
+		cloneBodyInto(out, dst, b.src, b.im)
 		if err := VerifyFunc(dst); err != nil {
-			return nil, fmt.Errorf("ir: link: function @%s: %w", src.Nam, err)
+			return nil, fmt.Errorf("ir: link: function @%s: %w", b.src.Nam, err)
 		}
 	}
 	// Module-level rules (duplicate symbols, dangling references) span
@@ -102,76 +104,4 @@ func LinkModules(name string, mods ...*Module) (*Module, error) {
 		return nil, fmt.Errorf("ir: link: %w", err)
 	}
 	return out, nil
-}
-
-// reparseInto round-trips a module through its textual form into the
-// given type context.
-func reparseInto(ctx *TypeContext, m *Module) (*Module, error) {
-	text := ModuleString(m)
-	re := &Module{
-		Name:       m.Name,
-		Ctx:        ctx,
-		funcByName: make(map[string]*Function),
-		globByName: make(map[string]*GlobalVar),
-	}
-	p := &parser{lex: newLexer(text), mod: re, headerOnly: true}
-	if _, err := p.parseModule(); err != nil {
-		return nil, fmt.Errorf("ir: link: renormalize %s: %w", m.Name, err)
-	}
-	p2 := &parser{lex: newLexer(text), mod: re}
-	if _, err := p2.parseModule(); err != nil {
-		return nil, fmt.Errorf("ir: link: renormalize %s: %w", m.Name, err)
-	}
-	return re, nil
-}
-
-// cloneBodyInto copies src's body into dst (same signature, lives in
-// module out), remapping function and global references by name.
-func cloneBodyInto(out *Module, dst *Function, src *Function) {
-	vmap := make(map[Value]Value, src.NumInstrs()+len(src.Params))
-	for i, p := range src.Params {
-		dst.Params[i].Nam = p.Nam
-		vmap[p] = dst.Params[i]
-	}
-	bmap := make(map[*Block]*Block, len(src.Blocks))
-	for _, b := range src.Blocks {
-		nb := dst.NewBlock(b.Nam)
-		bmap[b] = nb
-		vmap[b] = nb
-	}
-	for _, b := range src.Blocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
-			ni := &Instr{
-				Op:        in.Op,
-				Ty:        in.Ty,
-				Nam:       in.Nam,
-				Predicate: in.Predicate,
-				AllocTy:   in.AllocTy,
-				Operands:  append([]Value(nil), in.Operands...),
-			}
-			if len(in.IncomingBlocks) > 0 {
-				ni.IncomingBlocks = make([]*Block, len(in.IncomingBlocks))
-				for i, ib := range in.IncomingBlocks {
-					ni.IncomingBlocks[i] = bmap[ib]
-				}
-			}
-			nb.Append(ni)
-			vmap[in] = ni
-		}
-	}
-	dst.Instructions(func(in *Instr) {
-		for i, op := range in.Operands {
-			switch v := op.(type) {
-			case *Function:
-				in.Operands[i] = out.Func(v.Nam)
-			case *GlobalVar:
-				in.Operands[i] = out.Global(v.Nam)
-			default:
-				if nv, ok := vmap[op]; ok {
-					in.Operands[i] = nv
-				}
-			}
-		}
-	})
 }

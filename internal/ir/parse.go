@@ -1001,6 +1001,9 @@ func gepResultType(ctx *TypeContext, ptrTy *Type, indices []Value) (*Type, error
 			if !ok {
 				return nil, fmt.Errorf("gep struct index must be constant")
 			}
+			if c.IntVal < 0 || c.IntVal >= int64(len(cur.Fields)) {
+				return nil, fmt.Errorf("gep struct index %d out of range [0,%d)", c.IntVal, len(cur.Fields))
+			}
 			cur = cur.Fields[c.IntVal]
 		default:
 			return nil, fmt.Errorf("gep through non-aggregate %s", cur)

@@ -6,12 +6,19 @@ import "fmt"
 // its own fresh TypeContext, as a whole-program workload would look if
 // it had been compiled as n separate files: partition i keeps the
 // bodies of every i-th function definition (round-robin over the
-// definition order) and demotes the rest to declarations, so every
-// cross-partition call resolves at link time. Globals are replicated
-// into every partition that could need them (the linker unifies by
-// name). LinkModules over the result reconstructs a module equivalent
-// to the input; the cross-module merge tests and the scripts/check.sh
-// corpus gate are the consumers.
+// definition order) and declares the rest, so every cross-partition
+// call resolves at link time. Globals are replicated into every
+// partition that could need them (the linker unifies by name).
+// LinkModules over the result reconstructs a module equivalent to the
+// input; the cross-module merge tests and the scripts/check.sh corpus
+// gate are the consumers.
+//
+// Each partition's context is first seeded with every type the input
+// mentions, in the order ParseModule would intern them from the input's
+// printed form, so a partition assigns each type the dense ID a
+// textual copy of the input would, whichever bodies it keeps.
+// Partitions are built structurally: globals and all function headers,
+// then clones of the owned bodies only.
 //
 // The input is not modified. n < 1 or a module with fewer definitions
 // than partitions is an error (an empty partition would be pointless
@@ -30,21 +37,24 @@ func SplitModule(m *Module, n int) ([]*Module, error) {
 		return nil, fmt.Errorf("ir: split: %d definitions cannot fill %d partitions", defs, n)
 	}
 
-	text := ModuleString(m)
 	out := make([]*Module, n)
 	for i := 0; i < n; i++ {
-		part, err := ParseModule(text)
-		if err != nil {
-			return nil, fmt.Errorf("ir: split: round-trip: %w", err)
+		part := NewModule(fmt.Sprintf("%s.part%d", m.Name, i))
+		im := newTypeImporter(part.Ctx)
+		im.module(m)
+		for _, g := range m.Globs {
+			part.NewGlobal(g.Nam, im.typ(g.Elem), im.constant(g.Init))
 		}
-		part.Name = fmt.Sprintf("%s.part%d", m.Name, i)
+		for _, f := range m.Funcs {
+			declareInto(part, f, im)
+		}
 		di := 0
-		for _, f := range part.Funcs {
+		for _, f := range m.Funcs {
 			if f.IsDecl() {
 				continue
 			}
-			if di%n != i {
-				f.Blocks = nil // demote to declaration
+			if di%n == i {
+				cloneBodyInto(part, part.Func(f.Nam), f, im)
 			}
 			di++
 		}

@@ -308,6 +308,10 @@ func checkOperands(in *Instr) error {
 		if n < 1 {
 			return fmt.Errorf("call needs a callee")
 		}
+		ct := in.Operands[0].Type()
+		if ct.Kind != FuncKind && !(ct.IsPointer() && ct.Elem.Kind == FuncKind) {
+			return fmt.Errorf("callee of type %s is not a function", ct)
+		}
 		sig := calleeSig(in.Operands[0])
 		args := in.CallArgs()
 		if !sig.Variadic && len(args) != len(sig.Fields) {

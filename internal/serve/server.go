@@ -490,6 +490,8 @@ func (s *Server) Merge() (MergeSummary, error) {
 	// merges can never leak into instruction encodings (dense type IDs
 	// follow interning order; a fresh parse per merge pins them to the
 	// module texts alone — the same IDs the one-shot run assigns).
+	// Linking then moves the parsed modules into the first one's
+	// context structurally; nothing is printed or parsed again.
 	mods := make([]*ir.Module, len(srcs))
 	for i, src := range srcs {
 		m, err := ir.ParseModule(src)

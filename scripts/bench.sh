@@ -6,8 +6,9 @@
 # BENCH_merge.json so the perf trajectory — ns/op, allocs/op and the
 # pass's merge count — is tracked across PRs. It also runs
 # BenchmarkSummaryExtract (the per-module half of the cross-module
-# workflow) and writes summaries/sec plus bytes/func to
-# BENCH_summary.json, and BenchmarkAlignStrategies (sequence vs
+# workflow) and BenchmarkLinkModules (its link step) and writes them as
+# the two rows of BENCH_summary.json (summaries/sec plus bytes/func for
+# the first), and BenchmarkAlignStrategies (sequence vs
 # CFG-aware pipeline on block-permuted twin populations) and writes
 # ns/op, mean alignment score, mean block moves and committed merges
 # per strategy to BENCH_align.json. BENCHTIME and the output paths are
@@ -19,9 +20,10 @@
 #   ALIGNOUT=out/align.json scripts/bench.sh  # alternate align output file
 #
 # When BENCH_budget.json exists (override the path with ALLOC_BUDGET,
-# or set ALLOC_BUDGET=skip to bypass), the run also gates allocs/op
-# against the checked-in per-config ceilings and exits nonzero on a
-# regression. Allocation counts are schedule-stable — unlike ns/op on
+# or set ALLOC_BUDGET=skip to bypass), the run also gates allocs/op of
+# every row of every file it wrote against the checked-in per-bench
+# ceilings and exits nonzero on a regression or on a budgeted bench
+# that produced no row. Allocation counts are schedule-stable — unlike ns/op on
 # a noisy box — which is what makes a hard gate feasible.
 set -eu
 cd "$(dirname "$0")/.."
@@ -54,11 +56,11 @@ echo "== wrote $OUT"
 cat "$OUT"
 
 SUMOUT="${SUMOUT:-BENCH_summary.json}"
-echo "== go test -bench BenchmarkSummaryExtract (benchtime $BENCHTIME)"
-go test -run '^$' -bench '^BenchmarkSummaryExtract$' -benchmem -benchtime "$BENCHTIME" . | tee "$RAW"
+echo "== go test -bench 'BenchmarkSummaryExtract|BenchmarkLinkModules' (benchtime $BENCHTIME)"
+go test -run '^$' -bench '^(BenchmarkSummaryExtract|BenchmarkLinkModules)$' -benchmem -benchtime "$BENCHTIME" . | tee "$RAW"
 
 awk '
-/^BenchmarkSummaryExtract/ {
+/^Benchmark(SummaryExtract|LinkModules)/ {
     ns = ""; bytes = ""; allocs = ""; sps = ""; bpf = ""
     for (i = 3; i < NF; i += 2) {
         v = $i; u = $(i + 1)
@@ -68,9 +70,16 @@ awk '
         else if (u == "summaries/s") sps = v
         else if (u == "bytes/func") bpf = v
     }
-    printf "[\n  {\"bench\": \"SummaryExtract\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"summaries_per_sec\": %s, \"bytes_per_func\": %s}\n]\n", \
-        ns, bytes, allocs, (sps == "" ? "null" : sps), (bpf == "" ? "null" : bpf)
+    if (n++) printf ",\n"
+    if ($1 ~ /^BenchmarkSummaryExtract/)
+        printf "  {\"bench\": \"SummaryExtract\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"summaries_per_sec\": %s, \"bytes_per_func\": %s}", \
+            ns, bytes, allocs, (sps == "" ? "null" : sps), (bpf == "" ? "null" : bpf)
+    else
+        printf "  {\"bench\": \"LinkModules\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+            ns, bytes, allocs
 }
+BEGIN { printf "[\n" }
+END   { printf "\n]\n" }
 ' "$RAW" >"$SUMOUT"
 
 echo "== wrote $SUMOUT"
@@ -130,6 +139,7 @@ if [ "$ALLOC_BUDGET" != "skip" ] && [ -f "$ALLOC_BUDGET" ]; then
     {
         b = bench($0)
         if (b == "" || !(b in cap)) next
+        seen[b] = 1
         got = field($0, "allocs_per_op")
         if (got + 0 > cap[b] + 0) {
             printf "FAIL %s: allocs/op %s exceeds budget %s\n", b, got, cap[b]
@@ -138,6 +148,12 @@ if [ "$ALLOC_BUDGET" != "skip" ] && [ -f "$ALLOC_BUDGET" ]; then
             printf "ok   %s: allocs/op %s within budget %s\n", b, got, cap[b]
         }
     }
-    END { exit bad }
-    ' "$ALLOC_BUDGET" "$OUT"
+    END {
+        for (b in cap) if (!(b in seen)) {
+            printf "FAIL %s: budgeted, but no benchmark row was written\n", b
+            bad = 1
+        }
+        exit bad
+    }
+    ' "$ALLOC_BUDGET" "$OUT" "$SUMOUT" "$ALIGNOUT"
 fi

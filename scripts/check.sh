@@ -144,6 +144,7 @@ echo "== fuzz smoke (FUZZTIME=${FUZZTIME:-5s} per target)"
 # already ran as regression seeds during `go test` above. Crank
 # FUZZTIME up for a real fuzzing session.
 go test -run '^$' -fuzz '^FuzzIRParseRoundTrip$' -fuzztime "${FUZZTIME:-5s}" ./internal/ir
+go test -run '^$' -fuzz '^FuzzSplitLink$' -fuzztime "${FUZZTIME:-5s}" ./internal/ir
 go test -run '^$' -fuzz '^FuzzMinicParser$' -fuzztime "${FUZZTIME:-5s}" ./internal/minic
 go test -run '^$' -fuzz '^FuzzFingerprintEncode$' -fuzztime "${FUZZTIME:-5s}" ./internal/fingerprint
 go test -run '^$' -fuzz '^FuzzWatParseRoundTrip$' -fuzztime "${FUZZTIME:-5s}" ./internal/wat
