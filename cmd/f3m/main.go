@@ -11,8 +11,9 @@
 // workflow: summary extracts a module's per-function merge summaries
 // as a versioned .sum file, and merge -summaries links the summarized
 // modules and merges them optimistically along a plan computed from
-// the summaries alone, with every commit re-proved by the translation
-// validator (see DESIGN.md, "Cross-module merging").
+// the summaries alone, with every merge proven by the translation
+// validator before it is committed (see DESIGN.md, "Cross-module
+// merging").
 //
 // Usage:
 //

@@ -143,7 +143,7 @@ func runMergeSummaries(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "modules:       %d summarized, %d functions\n", sr.Modules, rep.NumFuncs)
 	fmt.Fprintf(stdout, "planned:       %d pairs (%d cross-module)\n", sr.Planned, sr.CrossModulePlanned)
 	fmt.Fprintf(stdout, "attempts:      %d ranked pairs, %d merged (%d cross-module)\n", rep.Attempts, rep.Merges, sr.CrossModuleMerges)
-	fmt.Fprintf(stdout, "validated:     %d proven, %d stale, %d misspeculated, %d replays\n", sr.Validated, sr.Stale, sr.Misspeculated, sr.Replays)
+	fmt.Fprintf(stdout, "validated:     %d proven, %d stale, %d refuted\n", sr.Validated, sr.Stale, sr.Refuted)
 	fmt.Fprintf(stdout, "size:          %d -> %d (%.2f%% reduction)\n", rep.SizeBefore, rep.SizeAfter, 100*rep.Reduction())
 	tt := rep.Times
 	fmt.Fprintf(stdout, "pass time:     %v (preprocess %v, align %v, codegen %v)\n",

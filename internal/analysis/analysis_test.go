@@ -173,6 +173,98 @@ func TestAuditCatchesDiscriminatorLeak(t *testing.T) {
 	}
 }
 
+// recursiveSrc is a pair where each function calls itself; the
+// signatures differ, so both recursive calls stay direct in the merged
+// body and Commit rewrites them into calls of the merged function.
+const recursiveSrc = `
+define i32 @fa(i32 %n, i32 %x) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @fa(i32 %n1, i32 %x)
+  %s = mul i32 %r, 3
+  ret i32 %s
+done:
+  ret i32 %x
+}
+define i32 @fb(i32 %n) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @fb(i32 %n1)
+  %s = mul i32 %r, 5
+  ret i32 %s
+done:
+  ret i32 %n
+}`
+
+// recursiveSite commits recursiveSrc and returns the rewritten
+// recursive call of side A, which now sits inside the merged function.
+func recursiveSite(t *testing.T) (*ir.Module, *merge.CommitInfo, *ir.Instr) {
+	t.Helper()
+	m, info := mergeAndCommit(t, recursiveSrc)
+	if ds := analysis.AuditCommit(analysis.NewManager(), m, info); len(ds) != 0 {
+		t.Fatalf("clean recursive commit audited dirty:\n%s", ds.RenderString())
+	}
+	for _, rc := range info.A.Calls {
+		if rc.Call.Parent.Parent == info.Merged {
+			return m, info, rc.Call
+		}
+	}
+	t.Fatalf("no rewritten recursive call of @fa in the merged function:\n%s", ir.FuncString(info.Merged))
+	return nil, nil, nil
+}
+
+// TestAuditCatchesWrongDiscriminatorAtRecursiveSite: the rewritten
+// recursive call dispatches to the other side. The module verifies.
+func TestAuditCatchesWrongDiscriminatorAtRecursiveSite(t *testing.T) {
+	m, info, call := recursiveSite(t)
+	call.Operands[1] = ir.ConstBool(m.Ctx, false)
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatalf("fault should be invisible to the base verifier: %v", err)
+	}
+	ds := analysis.AuditCommit(analysis.NewManager(), m, info)
+	found := false
+	for _, d := range ds {
+		if d.Func == info.Merged.Name() && d.Instr == call.Nam &&
+			strings.Contains(d.Msg, "discriminator argument") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("wrong discriminator at the recursive site not caught; got:\n%s", ds.RenderString())
+	}
+}
+
+// TestAuditCatchesDroppedArgumentAtRecursiveSite: the rewritten
+// recursive call passes undef where it must forward an argument.
+func TestAuditCatchesDroppedArgumentAtRecursiveSite(t *testing.T) {
+	m, info, call := recursiveSite(t)
+	args := call.CallArgs()
+	dropped := false
+	for i := 1; i < len(args); i++ {
+		if _, shared := info.A.ParamMap[i]; shared {
+			call.Operands[1+i] = ir.ConstUndef(args[i].Type())
+			dropped = true
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("recursive call forwards no arguments; test premise broken")
+	}
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatalf("fault should be invisible to the base verifier: %v", err)
+	}
+	ds := analysis.AuditCommit(analysis.NewManager(), m, info)
+	if !strings.Contains(ds.RenderString(), "want forwarded parameter") {
+		t.Errorf("dropped argument at the recursive site not caught; got:\n%s", ds.RenderString())
+	}
+}
+
 func TestAuditInvalidationTargetsRewrittenCallers(t *testing.T) {
 	m := mustParse(t, twoParamSrc)
 	mgr := analysis.NewManager()

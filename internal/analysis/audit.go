@@ -30,8 +30,16 @@ var afterIndexUpdate func(*Manager, *ir.Module)
 //     for unshared slots) plus the correct discriminator constant;
 //   - a deleted original is gone from the module and nothing —
 //     no call site, no address-taken operand — still references it;
-//   - every remaining direct call of the merged function passes the
-//     full merged parameter list, discriminator first.
+//   - every call site the commit rewrote (recursive ones inside the
+//     merged function included) calls the merged function with the full
+//     merged parameter list: a literal discriminator selecting the
+//     original it used to call, undef in that side's unshared slots,
+//     and each of its original arguments forwarded exactly once through
+//     the side's parameter map.
+//
+// The merged function is new, so its only callers are the rewritten
+// call sites and the thunks, and both are checked against the commit
+// record.
 //
 // The reference checks read the Manager's live reference index (see
 // refIndex). A module's first audit builds it in one walk and scans
@@ -83,11 +91,11 @@ func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics
 
 	ds = append(ds, auditSide(m, g, info.A, true)...)
 	ds = append(ds, auditSide(m, g, info.B, false)...)
+	ds = append(ds, auditRewrittenCalls(m, g, info.A, true)...)
+	ds = append(ds, auditRewrittenCalls(m, g, info.B, false)...)
 
-	// Dangling function references (the deleted originals, or leftovers
-	// of earlier commits) and the shape of every call site that targets
-	// the merged function; a call of a function created by this commit
-	// can only sit in a function the commit touched.
+	// Dangling function references: the deleted originals, or leftovers
+	// of earlier commits.
 	for _, f := range scope {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
@@ -104,10 +112,6 @@ func AuditCommit(mgr *Manager, m *ir.Module, info *merge.CommitInfo) Diagnostics
 						}
 						errf(f.Name(), b.Name(), instrLabel(in),
 							"%s deleted function @%s", kind, callee.Name())
-						continue
-					}
-					if isCallee && callee == g {
-						ds = append(ds, auditMergedCall(f, b, in, g)...)
 					}
 				}
 			}
@@ -185,33 +189,14 @@ func auditSide(m *ir.Module, g *ir.Function, side merge.CommitSide, idA bool) Di
 		errf(b.Name(), instrLabel(call), "thunk does not call the merged function @%s", g.Name())
 		return ds
 	}
-	args := call.CallArgs()
-	if len(args) != len(g.Params) {
-		errf(b.Name(), instrLabel(call), "thunk passes %d arguments, merged function has %d parameters",
-			len(args), len(g.Params))
+	params := make([]ir.Value, len(f.Params))
+	for i, p := range f.Params {
+		params[i] = p
+	}
+	if !auditForwarding(m, g, call, params, side.ParamMap, idA, "thunk", func(format string, args ...any) {
+		errf(b.Name(), instrLabel(call), format, args...)
+	}) {
 		return ds
-	}
-	if c, ok := args[0].(*ir.Const); !ok || c.Ty != m.Ctx.I1 || (c.IntVal != 0) == !idA {
-		errf(b.Name(), instrLabel(call), "thunk discriminator argument %s, want i1 %v", args[0].Ident(), idA)
-	}
-	for i := 1; i < len(g.Params); i++ {
-		if oi, ok := side.ParamMap[i]; ok {
-			if oi < 0 || oi >= len(f.Params) {
-				errf(b.Name(), instrLabel(call), "parameter map slot %d points at argument %d of %d", i, oi, len(f.Params))
-				continue
-			}
-			if args[i] != ir.Value(f.Params[oi]) {
-				errf(b.Name(), instrLabel(call),
-					"thunk argument %d is %s, want forwarded parameter %%%s", i, args[i].Ident(), f.Params[oi].Name())
-			}
-			continue
-		}
-		c, ok := args[i].(*ir.Const)
-		if !ok || !c.Undef {
-			errf(b.Name(), instrLabel(call), "thunk argument %d is %s, want undef (unshared slot)", i, args[i].Ident())
-		} else if c.Ty != g.Params[i].Ty {
-			errf(b.Name(), instrLabel(call), "thunk undef argument %d has type %s, want %s", i, c.Ty, g.Params[i].Ty)
-		}
 	}
 	if ret.Op != ir.OpRet {
 		errf(b.Name(), instrLabel(ret), "thunk does not end in ret")
@@ -227,24 +212,77 @@ func auditSide(m *ir.Module, g *ir.Function, side merge.CommitSide, idA bool) Di
 	return ds
 }
 
-// auditMergedCall checks the shape of one rewritten call site: full
-// merged arity with an i1 discriminator in the leading slot.
-func auditMergedCall(f *ir.Function, b *ir.Block, in *ir.Instr, g *ir.Function) Diagnostics {
+// auditRewrittenCalls checks every call site the commit redirected
+// from side's original to the merged function g. Calls left behind in a
+// deleted original's body are not in the module and are skipped.
+func auditRewrittenCalls(m *ir.Module, g *ir.Function, side merge.CommitSide, idA bool) Diagnostics {
 	var ds Diagnostics
-	errf := func(format string, args ...any) {
-		ds = append(ds, Diagnostic{
-			Checker: CheckerMergeAudit, Sev: Error,
-			Func: f.Name(), Block: b.Name(), Instr: instrLabel(in),
-			Msg: fmt.Sprintf(format, args...),
-		})
-	}
-	args := in.CallArgs()
-	if len(args) != len(g.Params) {
-		errf("call to merged @%s passes %d arguments, want %d", g.Name(), len(args), len(g.Params))
-		return ds
-	}
-	if len(args) > 0 && args[0].Type() != g.Params[0].Ty {
-		errf("call to merged @%s passes %s discriminator, want i1", g.Name(), args[0].Type())
+	what := "rewritten call of @" + side.Name
+	for _, rc := range side.Calls {
+		in := rc.Call
+		f := in.Parent.Parent
+		if !present(m, f) {
+			continue
+		}
+		errf := func(format string, args ...any) {
+			ds = append(ds, Diagnostic{
+				Checker: CheckerMergeAudit, Sev: Error,
+				Func: f.Name(), Block: in.Parent.Name(), Instr: instrLabel(in),
+				Msg: fmt.Sprintf(format, args...),
+			})
+		}
+		if in.Operands[0] != ir.Value(g) {
+			errf("%s does not call the merged function @%s", what, g.Name())
+			continue
+		}
+		auditForwarding(m, g, in, rc.Args, side.ParamMap, idA, what, errf)
 	}
 	return ds
+}
+
+// auditForwarding checks call, a call of the merged function g standing
+// in for a call of one original with arguments orig (a thunk forwards
+// the original's own parameters): it must pass g's full parameter list
+// — the literal discriminator idA, each of orig exactly once through
+// paramMap, and a type-correct undef in every unshared slot. what names
+// the call in messages. It reports false when the arity is wrong, which
+// leaves nothing else to check.
+func auditForwarding(m *ir.Module, g *ir.Function, call *ir.Instr, orig []ir.Value, paramMap map[int]int, idA bool, what string, errf func(format string, args ...any)) bool {
+	args := call.CallArgs()
+	if len(args) != len(g.Params) {
+		errf("%s passes %d arguments, merged function has %d parameters", what, len(args), len(g.Params))
+		return false
+	}
+	if c, ok := args[0].(*ir.Const); !ok || c.Ty != m.Ctx.I1 || c.Undef || (c.IntVal != 0) != idA {
+		errf("%s discriminator argument %s, want i1 %v", what, args[0].Ident(), idA)
+	}
+	forwarded := make([]bool, len(orig))
+	for i := 1; i < len(args); i++ {
+		oi, shared := paramMap[i]
+		if !shared {
+			c, ok := args[i].(*ir.Const)
+			if !ok || !c.Undef {
+				errf("%s argument %d is %s, want undef (unshared slot)", what, i, args[i].Ident())
+			} else if c.Ty != g.Params[i].Ty {
+				errf("%s undef argument %d has type %s, want %s", what, i, c.Ty, g.Params[i].Ty)
+			}
+			continue
+		}
+		switch {
+		case oi < 0 || oi >= len(orig):
+			errf("parameter map slot %d points at argument %d of %d", i, oi, len(orig))
+			continue
+		case forwarded[oi]:
+			errf("%s forwards parameter %d twice", what, oi)
+		case args[i] != orig[oi]:
+			errf("%s argument %d is %s, want forwarded parameter %d (%s)", what, i, args[i].Ident(), oi, orig[oi].Ident())
+		}
+		forwarded[oi] = true
+	}
+	for oi, ok := range forwarded {
+		if !ok {
+			errf("%s does not forward parameter %d", what, oi)
+		}
+	}
+	return true
 }

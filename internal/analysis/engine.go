@@ -9,14 +9,16 @@ import (
 // CheckerTV names the translation validator in diagnostics.
 const CheckerTV = "tv"
 
-// CommitValidator is the hook the `-check=validate` tier installs: a
-// per-commit semantic check run right after the structural audit. The
-// concrete implementation lives in analysis/tv (it needs the passes
-// package, which must not import analysis).
-type CommitValidator interface {
-	// ValidateCommit proves one commit semantics-preserving or returns
-	// error diagnostics pinpointing the first divergence per side.
-	ValidateCommit(m *ir.Module, info *merge.CommitInfo) Diagnostics
+// MergeValidator is the hook the `-check=validate` tier installs: a
+// semantic check of every profitable merge, run before it is committed
+// while both originals are still intact. The concrete implementation
+// lives in analysis/tv (it needs the passes package, which must not
+// import analysis).
+type MergeValidator interface {
+	// ValidateMerge proves the uncommitted merge semantics-preserving
+	// or returns error diagnostics pinpointing the first divergence per
+	// side.
+	ValidateMerge(m *ir.Module, res *merge.Result) Diagnostics
 }
 
 // Engine runs the checkers, accumulates their findings, and publishes
@@ -28,9 +30,9 @@ type Engine struct {
 	mgr *Manager
 	met *obs.Metrics
 
-	// Validator, when non-nil, runs on every commit after the merge
-	// audit (set by the pipeline at -check=validate).
-	Validator CommitValidator
+	// Validator, when non-nil, proves every merge before it is
+	// committed (set by the pipeline at -check=validate).
+	Validator MergeValidator
 
 	// merged records every committed merged function so the linter can
 	// sweep them after the pipeline finishes (by then they have been
@@ -58,16 +60,17 @@ func (e *Engine) StrictModule(m *ir.Module) Diagnostics {
 	return e.record(CheckerStrictVerify, StrictVerify(e.mgr, m))
 }
 
+// ValidateMerge runs the translation validator on one uncommitted
+// merge. A nil result proves it; the caller discards a refuted merge.
+func (e *Engine) ValidateMerge(m *ir.Module, res *merge.Result) Diagnostics {
+	return e.record(CheckerTV, e.Validator.ValidateMerge(m, res))
+}
+
 // AuditCommit audits one committed merge and remembers the merged
-// function for the post-run lint sweep. Under -check=validate it then
-// runs the translation validator on the same commit.
+// function for the post-run lint sweep.
 func (e *Engine) AuditCommit(m *ir.Module, info *merge.CommitInfo) Diagnostics {
 	e.merged = append(e.merged, info.Merged)
-	ds := e.record(CheckerMergeAudit, AuditCommit(e.mgr, m, info))
-	if e.Validator != nil {
-		ds = append(ds, e.record(CheckerTV, e.Validator.ValidateCommit(m, info))...)
-	}
-	return ds
+	return e.record(CheckerMergeAudit, AuditCommit(e.mgr, m, info))
 }
 
 // LintMerged lints every recorded merged function still present in the

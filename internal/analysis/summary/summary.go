@@ -13,9 +13,10 @@
 // MinHash fingerprint) and to detect staleness (signature hash,
 // sequence digest and length), not enough to prove a merge correct.
 // The proof happens at link time, where internal/core re-checks every
-// summary against the linked body (FuncSummary.Matches) and re-proves
-// every commit with the translation validator — a stale or colliding
-// summary degrades to a skipped merge, never a miscompile.
+// summary against the linked body (FuncSummary.Matches) and proves
+// every merge with the translation validator before committing it — a
+// stale or colliding summary degrades to a skipped or refuted merge,
+// never a miscompile.
 //
 // Everything in a summary is derived from the context-independent
 // stable encoding (fingerprint.EncodeFuncStable), so summaries

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"f3m/internal/ir"
-	"f3m/internal/merge"
 )
 
 // mismatch is the first divergence bisimulate found, located on the
@@ -22,18 +21,19 @@ type mismatch struct {
 // operands that use them — which also makes semantically dead leftovers
 // (a phi or alloca nothing reachable reads) irrelevant to the verdict.
 //
-// Two merge artifacts need special rules: a call of the merged function
-// inside spec (a rewritten recursive or cross call) corresponds to a
-// call of the side selected by its constant discriminator argument with
-// the arguments remapped through that side's parameter map, and a
-// surviving use of a shared merged parameter corresponds to the
-// original parameter the map assigns it.
+// One merge artifact needs a special rule: a surviving use of a shared
+// merged parameter corresponds to the original parameter the side's
+// paramMap assigns it. Calls need none: validation runs before Commit,
+// so a direct call in spec names the same function object as its
+// counterpart in ref, recursive and cross calls included, and pairs
+// like any other instruction. Commit's rewrite of those call sites is
+// checked by the post-commit audit.
 //
 // Everything walks slices in program order, so the first mismatch — and
 // therefore the diagnostic — is deterministic.
-func bisimulate(spec, ref *ir.Function, info *merge.CommitInfo, side *merge.CommitSide, d bool) *mismatch {
+func bisimulate(spec, ref *ir.Function, paramMap map[int]int) *mismatch {
 	b := &bisim{
-		spec: spec, ref: ref, info: info, side: side,
+		spec: spec, ref: ref, paramMap: paramMap,
 		blockMap: make(map[*ir.Block]*ir.Block),
 		blockRev: make(map[*ir.Block]*ir.Block),
 		valMap:   make(map[*ir.Instr]*ir.Instr),
@@ -75,8 +75,7 @@ type valPair struct {
 // bisim is the in-flight bisimulation state.
 type bisim struct {
 	spec, ref *ir.Function
-	info      *merge.CommitInfo
-	side      *merge.CommitSide
+	paramMap  map[int]int
 
 	blockMap, blockRev map[*ir.Block]*ir.Block
 	valMap, valRev     map[*ir.Instr]*ir.Instr
@@ -163,19 +162,6 @@ func (b *bisim) checkInstr(is, ri *ir.Instr) *mismatch {
 	}
 	b.recordInstr(is, ri)
 
-	if is.Op == ir.OpCall || is.Op == ir.OpInvoke {
-		if scallee, ok := is.Operands[0].(*ir.Function); ok {
-			rcallee, ok := ri.Operands[0].(*ir.Function)
-			if !ok {
-				return b.at(is, "direct call, original call is indirect")
-			}
-			if mis := b.checkCall(is, ri, scallee, rcallee); mis != nil {
-				return mis
-			}
-			return b.checkSuccessors(is, ri)
-		}
-	}
-
 	if len(is.Operands) != len(ri.Operands) {
 		return b.at(is, "%d operands, original has %d", len(is.Operands), len(ri.Operands))
 	}
@@ -204,92 +190,10 @@ func (b *bisim) recordInstr(is, ri *ir.Instr) {
 	b.valRev[ri] = is
 }
 
-// checkSuccessors pairs the successor blocks of an invoke positionally.
-func (b *bisim) checkSuccessors(is, ri *ir.Instr) *mismatch {
-	ssucc, rsucc := is.Successors(), ri.Successors()
-	if len(ssucc) != len(rsucc) {
-		return b.at(is, "%d successors, original has %d", len(ssucc), len(rsucc))
-	}
-	for i := range ssucc {
-		if mis := b.pairBlocks(ssucc[i], rsucc[i], is); mis != nil {
-			return mis
-		}
-	}
-	return nil
-}
-
-// checkCall verifies a direct call pair. A spec call of the merged
-// function is a rewritten call site: its constant discriminator selects
-// which original the reference must call, and its arguments correspond
-// through that side's parameter map (undef in unshared slots). Any
-// other direct call must target the same function object with
-// positionally corresponding arguments.
-func (b *bisim) checkCall(is, ri *ir.Instr, scallee, rcallee *ir.Function) *mismatch {
-	sargs, rargs := is.CallArgs(), ri.CallArgs()
-	if scallee != b.info.Merged {
-		if scallee != rcallee {
-			return b.at(is, "calls @%s, original calls @%s", scallee.Name(), rcallee.Name())
-		}
-		if len(sargs) != len(rargs) {
-			return b.at(is, "%d call arguments, original has %d", len(sargs), len(rargs))
-		}
-		for i := range sargs {
-			b.valQueue = append(b.valQueue, valPair{sargs[i], rargs[i], is})
-		}
-		return nil
-	}
-
-	// Rewritten call site.
-	if len(sargs) != len(b.info.Merged.Params) {
-		return b.at(is, "rewritten call passes %d arguments, merged function has %d parameters",
-			len(sargs), len(b.info.Merged.Params))
-	}
-	dc, ok := sargs[0].(*ir.Const)
-	if !ok || dc.Undef || dc.Null {
-		return b.at(is, "rewritten call discriminator is not a literal constant")
-	}
-	want := &b.info.B
-	if dc.IntVal&1 != 0 {
-		want = &b.info.A
-	}
-	if rcallee != want.Fn {
-		return b.at(is, "rewritten call resolves to @%s, original calls @%s",
-			want.Name, rcallee.Name())
-	}
-	if len(rargs) != len(want.Fn.Params) {
-		return b.at(is, "original call passes %d arguments, callee has %d parameters",
-			len(rargs), len(want.Fn.Params))
-	}
-	covered := make([]bool, len(rargs))
-	for i := 1; i < len(sargs); i++ {
-		oi, mapped := want.ParamMap[i]
-		if !mapped {
-			if c, isC := sargs[i].(*ir.Const); !isC || !c.Undef {
-				return b.at(is, "rewritten call passes a live value in unshared parameter slot %d", i)
-			}
-			continue
-		}
-		if oi < 0 || oi >= len(rargs) {
-			return b.at(is, "parameter map slot %d is out of range (%d)", i, oi)
-		}
-		if covered[oi] {
-			return b.at(is, "original argument %d forwarded twice", oi)
-		}
-		covered[oi] = true
-		b.valQueue = append(b.valQueue, valPair{sargs[i], rargs[oi], is})
-	}
-	for oi, c := range covered {
-		if !c {
-			return b.at(is, "original argument %d is not forwarded by the rewritten call", oi)
-		}
-	}
-	return nil
-}
-
 // checkValues discharges one value-correspondence obligation.
 func (b *bisim) checkValues(vp valPair) *mismatch {
 	if vp.sv == vp.rv {
-		// Same object: globals and (thunked) function references.
+		// Same object: globals, and functions (callees included).
 		return nil
 	}
 	switch sv := vp.sv.(type) {
@@ -333,7 +237,7 @@ func (b *bisim) checkParam(vp valPair, sp *ir.Param) *mismatch {
 	if idx == 0 {
 		return b.at(vp.at, "discriminator parameter escaped specialization")
 	}
-	oi, mapped := b.side.ParamMap[idx]
+	oi, mapped := b.paramMap[idx]
 	if !mapped {
 		return b.at(vp.at, "use of merged parameter %d, which is unshared on this side", idx)
 	}

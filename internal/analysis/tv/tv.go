@@ -1,20 +1,26 @@
-// Package tv is the per-commit translation validator behind
-// `-check=validate`: for every committed merge it proves, statically,
-// that the merged function specialized at each discriminator value is
-// behaviourally equivalent to the original function it replaced.
+// Package tv is the translation validator behind `-check=validate`:
+// before every commit it proves, statically, that the merged function
+// specialized at each discriminator value is behaviourally equivalent
+// to the original function it will replace. A refuted merge is
+// discarded, never committed.
 //
 // The proof strategy is specialize-then-bisimulate. For side A (and
 // symmetrically B): clone the merged function into a scratch module,
 // pin the discriminator parameter to its constant via sparse
 // conditional constant propagation, prune the branches and selects the
 // constant decides, and canonicalize the result with the same pass
-// pipeline applied to a clone of the pre-merge snapshot. If the merge
-// was semantics-preserving, the two canonical functions are the same
+// pipeline applied to a clone of the live original. If the merge was
+// semantics-preserving, the two canonical functions are the same
 // program up to value naming — which a CFG bisimulation with lazy value
 // correspondence checks exactly. Any divergence yields a deterministic
 // `tv` error diagnostic locating the first mismatching instruction.
 //
-// Everything runs on the pipeline's sequential commit loop against
+// Validation runs before Commit, so no call in the merged body targets
+// the merged function yet: recursive and cross calls still name the
+// originals on both comparands. The call sites Commit then rewrites are
+// checked by the post-commit merge audit (analysis.AuditCommit).
+//
+// Everything runs on the pipeline's sequential merge loop against
 // detached scratch modules that share only the type context, so the
 // real module never observes validation state.
 package tv
@@ -31,9 +37,9 @@ import (
 	"f3m/internal/passes"
 )
 
-// Validator implements analysis.CommitValidator. One Validator serves
+// Validator implements analysis.MergeValidator. One Validator serves
 // one pipeline run; it is not safe for concurrent use (the pipeline
-// calls it only from the sequential commit loop).
+// calls it only from the sequential merge loop).
 type Validator struct {
 	met *obs.Metrics
 }
@@ -44,22 +50,25 @@ func NewValidator(met *obs.Metrics) *Validator {
 	return &Validator{met: met}
 }
 
-// validateLatencyBounds bucket the per-commit validation latency
+// validateLatencyBounds bucket the per-merge validation latency
 // histogram, in milliseconds.
 var validateLatencyBounds = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100}
 
-// ValidateCommit proves one commit semantics-preserving: both sides are
-// specialized, canonicalized and bisimulated against their pre-merge
-// snapshots. It returns one error diagnostic per diverging side (the
-// first mismatch found, deterministically) and publishes the
-// `analysis.tv.*` counters plus a volatile latency histogram.
-func (v *Validator) ValidateCommit(m *ir.Module, info *merge.CommitInfo) analysis.Diagnostics {
+// ValidateMerge proves one uncommitted merge semantics-preserving:
+// both sides are specialized, canonicalized and bisimulated against
+// their originals, which Commit has not touched yet. It returns one
+// error diagnostic per diverging side (the first mismatch found,
+// deterministically) and publishes the `analysis.tv.*` counters
+// (`analysis.tv.commits` counts validated merges) plus a volatile
+// latency histogram.
+func (v *Validator) ValidateMerge(m *ir.Module, res *merge.Result) analysis.Diagnostics {
 	start := time.Now()
 	v.met.Counter("analysis.tv.commits").Inc()
 
+	fa, fb := res.Originals()
 	var ds analysis.Diagnostics
-	ds = append(ds, v.validateSide(m, info, &info.A, true)...)
-	ds = append(ds, v.validateSide(m, info, &info.B, false)...)
+	ds = append(ds, v.validateSide(m, res.Merged, fa, res.ParamMap(true), true)...)
+	ds = append(ds, v.validateSide(m, res.Merged, fb, res.ParamMap(false), false)...)
 
 	if n := len(ds); n > 0 {
 		v.met.Counter("analysis.tv.mismatches").Add(int64(n))
@@ -69,51 +78,49 @@ func (v *Validator) ValidateCommit(m *ir.Module, info *merge.CommitInfo) analysi
 	return ds
 }
 
-// validateSide checks one original against the merged function
-// specialized at that side's discriminator value.
-func (v *Validator) validateSide(m *ir.Module, info *merge.CommitInfo, side *merge.CommitSide, d bool) analysis.Diagnostics {
+// validateSide checks original orig against merged specialized at that
+// side's discriminator value d; paramMap is the side's merged-parameter
+// map.
+func (v *Validator) validateSide(m *ir.Module, merged, orig *ir.Function, paramMap map[int]int, d bool) analysis.Diagnostics {
 	v.met.Counter("analysis.tv.sides").Inc()
 	errd := func(block, instr, format string, args ...any) analysis.Diagnostics {
 		return analysis.Diagnostics{{
 			Checker: "tv", Sev: analysis.Error,
-			Func: info.Merged.Name(), Block: block, Instr: instr,
-			Msg: fmt.Sprintf("side %s (@%s): ", sideName(d), side.Name) + fmt.Sprintf(format, args...),
+			Func: merged.Name(), Block: block, Instr: instr,
+			Msg: fmt.Sprintf("side %s (@%s): ", sideName(d), orig.Name()) + fmt.Sprintf(format, args...),
 		}}
 	}
-	if side.Snapshot == nil {
-		return errd("", "", "commit carries no pre-merge snapshot (merge.Options.SnapshotOriginals unset)")
-	}
-	if len(info.Merged.Params) == 0 {
+	if len(merged.Params) == 0 {
 		return errd("", "", "merged function has no discriminator parameter")
 	}
 
 	// Both comparands are clones in a detached scratch module: the
 	// canonicalization passes may rewrite them freely without the real
-	// module (or the pristine snapshot) ever changing.
+	// module ever changing.
 	scratch := ir.NewModuleInCtx("tv.scratch", m.Ctx)
 	pin := ir.ConstBool(m.Ctx, d)
-	spec := canonicalClone(scratch, info.Merged, "tv.spec", pin, nil)
-	ref := canonicalClone(scratch, side.Snapshot, "tv.ref", nil, nil)
+	spec := canonicalClone(scratch, merged, "tv.spec", pin, nil)
+	ref := canonicalClone(scratch, orig, "tv.ref", nil, nil)
 
 	// A pass that leaves invalid IR would otherwise surface as a
 	// misleading structural mismatch.
 	if err := ir.VerifyFunc(spec); err != nil {
 		return errd("", "", "internal error: canonicalization pass %s left the specialized merged function invalid: %v",
-			brokenPass(m, info.Merged, pin), err)
+			brokenPass(m, merged, pin), err)
 	}
 	if err := ir.VerifyFunc(ref); err != nil {
 		return errd("", "", "internal error: canonicalization pass %s left the original invalid: %v",
-			brokenPass(m, side.Snapshot, nil), err)
+			brokenPass(m, orig, nil), err)
 	}
 
-	if mis := bisimulate(spec, ref, info, side, d); mis != nil {
+	if mis := bisimulate(spec, ref, paramMap); mis != nil {
 		return errd(mis.block, mis.instr, "%s", mis.msg)
 	}
 	return nil
 }
 
 // sideName renders the discriminator value as the side letter the
-// commit metadata uses.
+// merge metadata uses.
 func sideName(d bool) string {
 	if d {
 		return "A"

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"f3m/internal/analysis"
 	"f3m/internal/ir"
 	"f3m/internal/merge"
 	"f3m/internal/passes"
@@ -125,67 +126,316 @@ entry:
 }
 `
 
-// mergeAndValidate parses src, merges @a with @b under opts (snapshots
-// forced on, as -check=validate does), lets sabotage edit the merged
-// function before the commit, commits, and returns the validator's
-// findings.
-func mergeAndValidate(t *testing.T, src, a, b string, opts merge.Options, sabotage func(*ir.Function)) []string {
+// recursiveTwins each call themselves. Their signatures differ, so the
+// two recursive calls cannot share one instruction: the merged body
+// calls both originals directly until Commit rewrites those calls into
+// calls of itself.
+const recursiveTwins = `
+define i32 @down3(i32 %n, i32 %x) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @down3(i32 %n1, i32 %x)
+  %s = mul i32 %r, 3
+  ret i32 %s
+done:
+  ret i32 %x
+}
+define i32 @down5(i32 %n) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @down5(i32 %n1)
+  %s = mul i32 %r, 5
+  ret i32 %s
+done:
+  ret i32 %n
+}
+`
+
+// selfCallTwins each call themselves with one signature, so the merged
+// body calls a select of the two originals, whose addresses Commit then
+// keeps alive as thunks.
+const selfCallTwins = `
+define i32 @self3(i32 %n) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @self3(i32 %n1)
+  %s = mul i32 %r, 3
+  ret i32 %s
+done:
+  ret i32 %n
+}
+define i32 @self5(i32 %n) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %done, label %rec
+rec:
+  %n1 = sub i32 %n, 1
+  %r = call i32 @self5(i32 %n1)
+  %s = mul i32 %r, 5
+  ret i32 %s
+done:
+  ret i32 %n
+}
+`
+
+// crossCallTwins: @outer calls @inner, its merge partner.
+const crossCallTwins = `
+define i32 @inner(i32 %x) {
+entry:
+  %a = mul i32 %x, 3
+  %b = add i32 %a, 1
+  ret i32 %b
+}
+define i32 @outer(i32 %x) {
+entry:
+  %a = call i32 @inner(i32 %x)
+  %b = add i32 %a, 1
+  ret i32 %b
+}
+`
+
+// thunkedTwins: @ta is address-taken, so Commit keeps it as a thunk.
+const thunkedTwins = `
+define i32 @ta(i32 %x, i32 %y) {
+entry:
+  %a = add i32 %x, %y
+  %b = mul i32 %a, 3
+  ret i32 %b
+}
+define i32 @tb(i32 %x, i32 %y) {
+entry:
+  %a = add i32 %x, %y
+  %b = mul i32 %a, 5
+  ret i32 %b
+}
+define i32 @apply(i32(i32,i32)* %fp, i32 %x) {
+entry:
+  %r = call i32 %fp(i32 %x, i32 7)
+  ret i32 %r
+}
+define i32 @useA(i32 %x) {
+entry:
+  %r = call i32 @apply(i32(i32,i32)* @ta, i32 %x)
+  ret i32 %r
+}
+define i32 @useB(i32 %x) {
+entry:
+  %r = call i32 @tb(i32 %x, i32 2)
+  ret i32 %r
+}
+`
+
+// phiTwins join two arms in a phi over instruction values, which the
+// merged function keeps.
+const phiTwins = `
+define i32 @abs3(i32 %x) {
+entry:
+  %c = icmp slt i32 %x, 0
+  br i1 %c, label %neg, label %pos
+neg:
+  %n = sub i32 0, %x
+  br label %join
+pos:
+  %p = mul i32 %x, 3
+  br label %join
+join:
+  %r = phi i32 [%n, %neg], [%p, %pos]
+  ret i32 %r
+}
+define i32 @abs5(i32 %x) {
+entry:
+  %c = icmp slt i32 %x, 0
+  br i1 %c, label %neg, label %pos
+neg:
+  %n = sub i32 0, %x
+  br label %join
+pos:
+  %p = mul i32 %x, 5
+  br label %join
+join:
+  %r = phi i32 [%n, %neg], [%p, %pos]
+  ret i32 %r
+}
+`
+
+// validate parses src, merges @a with @b under opts, lets sabotage
+// (when non-nil) edit the uncommitted merged function, and returns the
+// module, the merge and the validator's findings.
+func validate(t *testing.T, src, a, b string, opts merge.Options, sabotage func(*ir.Function) bool) (*ir.Module, *merge.Result, []string) {
 	t.Helper()
 	m, err := ir.ParseModule(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.SnapshotOriginals = true
 	res, err := merge.Pair(m, m.Func(a), m.Func(b), opts)
 	if err != nil {
 		t.Fatalf("merge @%s + @%s: %v", a, b, err)
 	}
-	if sabotage != nil {
-		sabotage(res.Merged)
-	}
-	info := merge.Commit(m, res)
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("committed module invalid: %v", err)
+	if sabotage != nil && !sabotage(res.Merged) {
+		t.Fatalf("sabotage found nothing to edit in:\n%s", ir.FuncString(res.Merged))
 	}
 	var msgs []string
-	for _, d := range NewValidator(nil).ValidateCommit(m, info) {
+	for _, d := range NewValidator(nil).ValidateMerge(m, res) {
 		msgs = append(msgs, d.String())
 	}
-	return msgs
+	return m, res, msgs
 }
 
-// TestValidateReorderedTwins: a correct CFG-aligned merge must validate
-// clean on both sides.
-func TestValidateReorderedTwins(t *testing.T) {
-	opts := merge.DefaultOptions()
-	opts.CFGAlign = true
-	if ds := mergeAndValidate(t, reorderedTwins, "fam16_t0", "fam96_t0", opts, nil); len(ds) != 0 {
-		t.Errorf("validator refuted a correct merge:\n%v", ds)
-	}
+// swapSub swaps the operands of the first subtraction whose operands
+// differ.
+func swapSub(f *ir.Function) bool {
+	done := false
+	f.Instructions(func(in *ir.Instr) {
+		if !done && in.Op == ir.OpSub && in.Operands[0] != in.Operands[1] {
+			in.Operands[0], in.Operands[1] = in.Operands[1], in.Operands[0]
+			done = true
+		}
+	})
+	return done
 }
 
-// TestValidateRefutesSwappedOperands: the phi cleanup that makes the
-// reordered twins validate must not hide a real miscompile — swapping
-// the operands of a subtraction in the merged body is refuted.
-func TestValidateRefutesSwappedOperands(t *testing.T) {
-	if ds := mergeAndValidate(t, subTwins, "left", "right", merge.DefaultOptions(), nil); len(ds) != 0 {
-		t.Fatalf("validator refuted the unsabotaged merge:\n%v", ds)
+// swapDiscriminatorArms swaps the arms of the first select keyed on the
+// discriminator, so each side computes the other's value.
+func swapDiscriminatorArms(f *ir.Function) bool {
+	fid := ir.Value(f.Params[0])
+	done := false
+	f.Instructions(func(in *ir.Instr) {
+		if !done && in.Op == ir.OpSelect && in.Operands[0] == fid {
+			in.Operands[1], in.Operands[2] = in.Operands[2], in.Operands[1]
+			done = true
+		}
+	})
+	return done
+}
+
+// dropPhiInput replaces the first instruction-valued phi incoming with
+// undef: the merge lost a value on one path.
+func dropPhiInput(f *ir.Function) bool {
+	done := false
+	f.Instructions(func(in *ir.Instr) {
+		if done || in.Op != ir.OpPhi {
+			return
+		}
+		for i, op := range in.Operands {
+			if _, isInstr := op.(*ir.Instr); isInstr {
+				in.Operands[i] = ir.ConstUndef(in.Ty)
+				done = true
+				return
+			}
+		}
+	})
+	return done
+}
+
+// callsInMerged checks that Commit rewrote at least one call site
+// inside the merged function itself: the calls the validator saw as
+// calls of the originals.
+func callsInMerged(info *merge.CommitInfo) string {
+	for _, side := range []merge.CommitSide{info.A, info.B} {
+		for _, rc := range side.Calls {
+			if rc.Call.Parent.Parent == info.Merged {
+				return ""
+			}
+		}
 	}
-	swapped := false
-	swap := func(f *ir.Function) {
-		f.Instructions(func(in *ir.Instr) {
-			if !swapped && in.Op == ir.OpSub && in.Operands[0] != in.Operands[1] {
-				in.Operands[0], in.Operands[1] = in.Operands[1], in.Operands[0]
-				swapped = true
+	return "no call site inside the merged function was rewritten"
+}
+
+// redirectCall points the first direct call of @inner at @outer, which
+// has the same signature.
+func redirectCall(f *ir.Function) bool {
+	done := false
+	f.Instructions(func(in *ir.Instr) {
+		if callee, ok := in.Operands[0].(*ir.Function); !done && in.Op == ir.OpCall && ok && callee.Name() == "inner" {
+			in.Operands[0] = f.Parent.Func("outer")
+			done = true
+		}
+	})
+	return done
+}
+
+// TestValidateMerge is the validator's soundness and completeness
+// table. A correct merge must validate clean — a false refutation
+// silently costs the merge — and must then commit into a module that
+// verifies and passes the merge audit. A sabotaged merge must be
+// refuted.
+func TestValidateMerge(t *testing.T) {
+	cfgOpts := merge.DefaultOptions()
+	cfgOpts.CFGAlign = true
+	for _, tc := range []struct {
+		name     string
+		src      string
+		a, b     string
+		opts     merge.Options
+		sabotage func(*ir.Function) bool
+		// committed checks a premise of the case on the commit record.
+		committed func(*merge.CommitInfo) string
+	}{
+		// Specialized to side B, the merged function forwards demoted
+		// slot pointers through two-phi cycles; collapsing one must not
+		// leave a dangling operand.
+		{name: "reordered twins", src: reorderedTwins, a: "fam16_t0", b: "fam96_t0", opts: cfgOpts},
+		{name: "sub twins", src: subTwins, a: "left", b: "right"},
+		{name: "recursive", src: recursiveTwins, a: "down3", b: "down5", committed: callsInMerged},
+		{name: "self call through a select", src: selfCallTwins, a: "self3", b: "self5",
+			committed: func(info *merge.CommitInfo) string {
+				if !info.A.Thunked || !info.B.Thunked {
+					return "the originals called through a select were not thunked"
+				}
+				return ""
+			}},
+		{name: "cross call", src: crossCallTwins, a: "outer", b: "inner", committed: callsInMerged},
+		{name: "thunked", src: thunkedTwins, a: "ta", b: "tb",
+			committed: func(info *merge.CommitInfo) string {
+				if !info.A.Thunked {
+					return "address-taken @ta was not thunked"
+				}
+				return ""
+			}},
+		{name: "phi twins", src: phiTwins, a: "abs3", b: "abs5"},
+
+		{name: "swapped sub", src: subTwins, a: "left", b: "right", sabotage: swapSub},
+		{name: "swapped discriminator arms", src: subTwins, a: "left", b: "right", sabotage: swapDiscriminatorArms},
+		{name: "dropped phi input", src: phiTwins, a: "abs3", b: "abs5", sabotage: dropPhiInput},
+		{name: "redirected call", src: crossCallTwins, a: "outer", b: "inner", sabotage: redirectCall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			if opts == (merge.Options{}) {
+				opts = merge.DefaultOptions()
+			}
+			m, res, ds := validate(t, tc.src, tc.a, tc.b, opts, tc.sabotage)
+			if tc.sabotage != nil {
+				if len(ds) == 0 {
+					t.Errorf("validator accepted the sabotaged merge:\n%s", ir.FuncString(res.Merged))
+				}
+				return
+			}
+			if len(ds) != 0 {
+				t.Fatalf("validator refuted a correct merge:\n%v\n%s", ds, ir.FuncString(res.Merged))
+			}
+			info := merge.Commit(m, res)
+			if err := ir.VerifyModule(m); err != nil {
+				t.Fatalf("committed module invalid: %v", err)
+			}
+			if audit := analysis.AuditCommit(analysis.NewManager(), m, info); len(audit) != 0 {
+				t.Errorf("merge audit flagged the commit:\n%s", audit.RenderString())
+			}
+			if tc.committed != nil {
+				if msg := tc.committed(info); msg != "" {
+					t.Error(msg)
+				}
 			}
 		})
-	}
-	ds := mergeAndValidate(t, subTwins, "left", "right", merge.DefaultOptions(), swap)
-	if !swapped {
-		t.Fatal("merged function has no subtraction to sabotage")
-	}
-	if len(ds) == 0 {
-		t.Error("validator accepted a merge with swapped subtraction operands")
 	}
 }
 
@@ -214,7 +464,7 @@ func TestValidateNamesBrokenPass(t *testing.T) {
 	}}}
 	canonPipeline = []canonStage{saved[0], stage, saved[2]}
 
-	ds := mergeAndValidate(t, subTwins, "left", "right", merge.DefaultOptions(), nil)
+	_, _, ds := validate(t, subTwins, "left", "right", merge.DefaultOptions(), nil)
 	if len(ds) == 0 {
 		t.Fatal("validator accepted comparands a broken pass left invalid")
 	}

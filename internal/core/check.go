@@ -31,10 +31,12 @@ const (
 	// functions.
 	CheckStrict
 
-	// CheckValidate is CheckStrict plus per-commit translation
-	// validation: every committed merge is specialized at each
-	// discriminator value and proven bisimilar to a snapshot of the
-	// original it replaced (checker `tv`). The most thorough — and most
+	// CheckValidate is CheckStrict plus translation validation before
+	// every commit: each profitable merge is specialized at each
+	// discriminator value and proven bisimilar to the original it
+	// would replace (checker `tv`). A refuted merge is discarded like
+	// an unprofitable one and counted in Report.Refuted, so the output
+	// module holds only proven merges. The most thorough — and most
 	// expensive — tier.
 	CheckValidate
 )

@@ -125,12 +125,20 @@ func TestValidateCheckCleanAndDeterministic(t *testing.T) {
 
 // runValidateWithSabotage runs -check=validate over an irgen module
 // with mergePair wrapped by corrupt, which may mutate the merged
-// function of a profitable result before it is committed. It returns
-// the report and whether the corruption fired.
+// function of a profitable result before it is committed. Once the
+// corruption fires, the validator must refute that merge before its
+// commit, so the output module must still behave like the input: every
+// driver interprets to its pre-merge result. It returns the report and
+// whether the corruption fired.
 func runValidateWithSabotage(t *testing.T, corrupt func(mod *ir.Module, res *merge.Result) bool) (*Report, bool) {
 	t.Helper()
 	gcfg := irgen.DefaultConfig(23)
 	m := irgen.Generate(gcfg).Module
+	drivers := addDrivers(m)
+	want := make(map[string]int64, len(drivers))
+	for _, d := range drivers {
+		want[d] = runDriver(t, m, d)
+	}
 
 	orig := mergePair
 	defer func() { mergePair = orig }()
@@ -149,7 +157,21 @@ func runValidateWithSabotage(t *testing.T, corrupt func(mod *ir.Module, res *mer
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, sabotaged
+	if !sabotaged {
+		return rep, false
+	}
+	if rep.Refuted != 1 {
+		t.Errorf("Refuted = %d, want 1", rep.Refuted)
+	}
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatalf("module invalid after the pass: %v", err)
+	}
+	for _, d := range drivers {
+		if got := runDriver(t, m, d); got != want[d] {
+			t.Errorf("%s = %d after merging, want %d: a refuted merge reached the module", d, got, want[d])
+		}
+	}
+	return rep, true
 }
 
 // tvDiagnostics filters a report down to the validator's findings.

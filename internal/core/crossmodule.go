@@ -13,20 +13,20 @@ package core
 //     the standard merge machinery. The plan is advice computed from
 //     data that may be stale, so nothing from it is trusted: each
 //     pair's summaries are re-checked against the linked bodies
-//     (FuncSummary.Matches) before alignment, and every commit is
-//     re-proved by the merge auditor and the translation validator
-//     (RunSummaryMerge forces -check=validate). A summary that lied —
-//     corrupted, out of date, or a digest collision — is caught either
-//     by the staleness check (pair skipped, no replay needed) or by
-//     the validator (commit refuted: the linked module is discarded,
-//     the pair blacklisted, and the link+merge replayed from the
-//     pristine inputs, which LinkModules never mutates).
+//     (FuncSummary.Matches) before alignment, and every profitable
+//     merge is proven by the translation validator before it is
+//     committed (RunSummaryMerge forces -check=validate). A summary
+//     that lied — corrupted, out of date, or a digest collision — is
+//     caught either by the staleness check (pair skipped) or by the
+//     validator (merge refuted and discarded, like an unprofitable
+//     one).
 //
-// Replays make misspeculation costly but safe: the final module has
-// only validated merges, and the final report is as clean as a run
-// that never planned the bad pair.
+// Optimism is about the plan only: the linked module never holds an
+// unproven merge, so one link and one pass over the plan suffice.
 
 import (
+	"fmt"
+
 	"f3m/internal/analysis"
 	"f3m/internal/analysis/summary"
 	"f3m/internal/ir"
@@ -50,31 +50,27 @@ type SummaryReport struct {
 	// can reach.
 	CrossModuleMerges int
 
-	// Validated counts committed merges proven by the validator in the
-	// final (accepted) run.
+	// Validated counts committed merges, each proven by the validator
+	// before its commit.
 	Validated int
 
 	// Stale counts planned pairs rejected by the summary staleness
-	// check before any merge work.
+	// check before any merge work. Profitable pairs the validator
+	// refuted are counted in the embedded Report's Refuted.
 	Stale int
 
-	// Misspeculated counts commits the validator refuted; each one
-	// forced a replay. Zero on clean inputs.
-	Misspeculated int
-
-	// Replays is the number of times the link+merge phase re-ran.
+	// Replays is always 0: the link+merge phase runs once. It stays
+	// until the benchmark's summary.replays row, which reads it, goes.
 	Replays int
 }
 
-// planKey names a planned pair for the skip set.
-func planKey(p summary.PlanPair) string { return p.A.Name + "\x00" + p.B.Name }
-
 // RunSummaryMerge links the modules and merges optimistically along
 // the index's plan, returning the report and the merged linked module.
-// The inputs are never mutated (LinkModules clones), which is what
-// makes replay after a refuted commit possible. The check level is
+// The inputs are never mutated (LinkModules clones). The check level is
 // forced to at least CheckValidate: optimism without the validator
-// would let a colliding summary miscompile.
+// would let a colliding summary miscompile. A merge audit error after a
+// commit is a bug in Commit, not a property of the pair, and is
+// returned as an error.
 //
 // Planning and merging are sequential, so Workers plays no part. The
 // report is identical for every partitioning of the same program into
@@ -99,57 +95,17 @@ func RunSummaryMerge(name string, mods []*ir.Module, ix *summary.Index, cfg Conf
 	sr.Planned = len(plan.Pairs)
 	sr.CrossModulePlanned = plan.CrossModule
 
-	skip := make(map[string]bool)
-	for {
-		linked, err := ir.LinkModules(name, mods...)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, stats, badKey, err := runPlan(linked, plan, skip, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		sr.Stale += stats.stale
-		if badKey != "" {
-			// A committed merge failed validation: the linked module is
-			// tainted. Blacklist the pair and replay from the pristine
-			// inputs.
-			skip[badKey] = true
-			sr.Misspeculated++
-			sr.Replays++
-			mx.Counter("summary.misspeculated").Inc()
-			continue
-		}
-		sr.Report = rep
-		sr.Validated = stats.validated
-		sr.CrossModuleMerges = stats.cross
-		mx.Counter("summary.validated").Add(int64(stats.validated))
-		return sr, linked, nil
+	m, err := ir.LinkModules(name, mods...)
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// planRunStats is one runPlan execution's accounting.
-type planRunStats struct {
-	validated int // committed merges with no new error diagnostics
-	cross     int // validated subset spanning two input modules
-	stale     int // pairs newly rejected by the staleness check
-}
-
-// runPlan executes the plan's pairs against one freshly linked module.
-// It returns the run's report and, when a committed merge produced an
-// error-severity diagnostic (merge audit or translation validation),
-// the offending pair's key — the module is then tainted and the caller
-// must replay. Pairs in skip are recorded as unattempted outcomes so
-// the final report still accounts for every planned pair.
-func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config) (*Report, planRunStats, string, error) {
-	var stats planRunStats
 	rep := &Report{Strategy: cfg.Strategy}
 	rep.SizeBefore = ModuleCost(m)
 	rep.NumFuncs = plan.NumFuncs
 	rep.Threshold, rep.Bands, rep.K = plan.Threshold, plan.Params.Bands, plan.Params.K
 	rep.LSHStats = plan.LSHStats
+	sr.Report = rep
 	cfg = withCallIndex(m, cfg)
-	mx := cfg.Metrics
 	eng := startChecks(m, cfg)
 
 	run := cfg.Tracer.StartSpan("summary-merge")
@@ -159,19 +115,13 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 	loop := run.Child("merge-loop")
 	defer loop.End()
 	for _, pr := range plan.Pairs {
-		key := planKey(pr)
-		if skip[key] {
-			rep.Pairs = append(rep.Pairs, PairOutcome{A: pr.A.Name, B: pr.B.Name, Similarity: pr.Similarity})
-			continue
-		}
 		fa, fb := m.Func(pr.A.Name), m.Func(pr.B.Name)
 		// The optimism check: the summaries were computed from module
 		// state we never saw. Re-derive the cheap facts from the linked
 		// bodies and skip the pair on any mismatch — a stale summary
 		// must degrade to a missed merge, not reach the merger.
 		if !pr.A.Matches(fa) || !pr.B.Matches(fb) {
-			skip[key] = true
-			stats.stale++
+			sr.Stale++
 			mx.Counter("summary.stale").Inc()
 			rep.Pairs = append(rep.Pairs, PairOutcome{A: pr.A.Name, B: pr.B.Name, Similarity: pr.Similarity})
 			continue
@@ -179,34 +129,25 @@ func runPlan(m *ir.Module, plan *summary.Plan, skip map[string]bool, cfg Config)
 		before := len(eng.All)
 		ok, err := attemptMerge(m, fa, fb, cfg, rep, eng, 0, pr.Similarity, loop)
 		if err != nil {
-			return nil, stats, "", err
+			return nil, nil, err
 		}
 		if !ok {
 			continue
 		}
-		if hasNewError(eng, before) {
-			// The validator (or auditor) refuted a commit that is
-			// already applied to m: taint.
-			return rep, stats, key, nil
+		// A committed merge was proven before its commit, so any error
+		// now is the audit's: Commit mis-wired the module.
+		if ds := eng.All[before:]; ds.Count(analysis.Error) > 0 {
+			return nil, nil, fmt.Errorf("core: committing %s + %s: merge audit failed:\n%s",
+				pr.A.Name, pr.B.Name, ds.RenderString())
 		}
-		stats.validated++
+		sr.Validated++
 		if pr.CrossModule() {
-			stats.cross++
+			sr.CrossModuleMerges++
 		}
 	}
 	rep.SizeAfter = ModuleCost(m)
 	finishChecks(m, cfg, eng, rep)
 	publishRunMetrics(rep, cfg)
-	return rep, stats, "", nil
-}
-
-// hasNewError reports whether the engine accumulated an error-severity
-// diagnostic past index from.
-func hasNewError(eng *analysis.Engine, from int) bool {
-	for _, d := range eng.All[from:] {
-		if d.Sev >= analysis.Error {
-			return true
-		}
-	}
-	return false
+	mx.Counter("summary.validated").Add(int64(sr.Validated))
+	return sr, m, nil
 }

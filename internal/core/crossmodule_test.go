@@ -35,8 +35,8 @@ func splitAndIndex(t *testing.T, m *ir.Module, n int) ([]*ir.Module, *summary.In
 // property of the partitioning, not of the program.
 func summaryReportKey(t *testing.T, sr *SummaryReport) string {
 	t.Helper()
-	return fmt.Sprintf("planned=%d validated=%d stale=%d missp=%d\n%s",
-		sr.Planned, sr.Validated, sr.Stale, sr.Misspeculated,
+	return fmt.Sprintf("planned=%d validated=%d stale=%d refuted=%d\n%s",
+		sr.Planned, sr.Validated, sr.Stale, sr.Refuted,
 		reportKey(t, sr.Report))
 }
 
@@ -66,8 +66,8 @@ func TestSummaryMergeDeterminism(t *testing.T) {
 	var baseText string
 	for _, n := range []int{2, 4, 8} {
 		sr, linked := runSummaryMerge(t, m, n)
-		if sr.Misspeculated != 0 || sr.Replays != 0 {
-			t.Fatalf("split=%d: misspeculation on clean inputs: %+v", n, sr)
+		if sr.Refuted != 0 || sr.Replays != 0 {
+			t.Fatalf("split=%d: refuted merges on clean inputs: %+v", n, sr)
 		}
 		if sr.Diagnostics.Count(0) != 0 {
 			t.Fatalf("split=%d: diagnostics on clean inputs:\n%s", n, sr.Diagnostics.RenderString())
@@ -143,8 +143,8 @@ func TestSummaryMergeDifferential(t *testing.T) {
 	if sr.Merges <= perModule {
 		t.Errorf("summary run committed %d merges, per-module runs %d — no cross-module win", sr.Merges, perModule)
 	}
-	if sr.Misspeculated != 0 {
-		t.Errorf("misspeculated=%d on clean inputs", sr.Misspeculated)
+	if sr.Refuted != 0 {
+		t.Errorf("refuted=%d on clean inputs", sr.Refuted)
 	}
 	if got := cfg.Metrics.CounterValue("summary.validated"); got != int64(sr.Validated) {
 		t.Errorf("summary.validated counter=%d, want %d", got, sr.Validated)
@@ -157,7 +157,7 @@ func TestSummaryMergeDifferential(t *testing.T) {
 // TestSummaryMergeStaleSummary corrupts one summary's staleness facts
 // (sequence digest, then signature hash) and proves the optimistic
 // merge degrades to a skipped pair: no merge of the lying summary, no
-// replay, clean diagnostics, valid module.
+// refutation, clean diagnostics, valid module.
 func TestSummaryMergeStaleSummary(t *testing.T) {
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
 
@@ -208,8 +208,8 @@ func TestSummaryMergeStaleSummary(t *testing.T) {
 			if sr.Stale == 0 {
 				t.Error("corrupted summary not detected as stale")
 			}
-			if sr.Misspeculated != 0 || sr.Replays != 0 {
-				t.Errorf("staleness should not need a replay: %+v", sr)
+			if sr.Refuted != 0 || sr.Replays != 0 {
+				t.Errorf("a stale pair reached the validator: %+v", sr)
 			}
 			if got := cfg.Metrics.CounterValue("summary.stale"); got != int64(sr.Stale) {
 				t.Errorf("summary.stale counter=%d, want %d", got, sr.Stale)
@@ -227,13 +227,20 @@ func TestSummaryMergeStaleSummary(t *testing.T) {
 }
 
 // TestSummaryMergeMisspeculation injects a fault past the staleness
-// check: the summaries are honest but the merge itself is corrupted
-// before commit, so only the translation validator can catch it. The
-// run must detect the refuted commit, replay without the pair, and end
-// with a clean report and a valid module — and summary.misspeculated
-// must say it happened.
+// check: the summaries are honest but the planned merge itself is
+// corrupted before commit, so only the translation validator can catch
+// it. The validator must refute the merge before it is committed, the
+// pair must be discarded like an unprofitable one, and the linked
+// module must behave exactly like the unmerged program — with the
+// refutation reported through Refuted, merge.refuted and its tv
+// diagnostic.
 func TestSummaryMergeMisspeculation(t *testing.T) {
 	m := irgen.Generate(irgen.DefaultConfig(61)).Module
+	drivers := addDrivers(m)
+	want := make(map[string]int64, len(drivers))
+	for _, d := range drivers {
+		want[d] = runDriver(t, m, d)
+	}
 	parts, ix := splitAndIndex(t, m, 2)
 
 	orig := mergePair
@@ -266,31 +273,27 @@ func TestSummaryMergeMisspeculation(t *testing.T) {
 		t.Fatal("sabotage never fired; test is vacuous")
 	}
 	if err := ir.VerifyModule(linked); err != nil {
-		t.Fatalf("merged module invalid after replay: %v", err)
+		t.Fatalf("merged module invalid: %v", err)
 	}
-	if sr.Misspeculated != 1 || sr.Replays != 1 {
-		t.Errorf("misspeculated=%d replays=%d, want 1/1", sr.Misspeculated, sr.Replays)
+	if sr.Refuted != 1 || sr.Replays != 0 {
+		t.Errorf("refuted=%d replays=%d, want 1/0", sr.Refuted, sr.Replays)
 	}
-	if got := cfg.Metrics.CounterValue("summary.misspeculated"); got != 1 {
-		t.Errorf("summary.misspeculated counter=%d, want 1", got)
+	if got := cfg.Metrics.CounterValue("merge.refuted"); got != 1 {
+		t.Errorf("merge.refuted counter=%d, want 1", got)
 	}
-	// The final (replayed) report must be clean: the refuted commit was
-	// rolled back with the tainted module, not shipped.
-	if sr.Diagnostics.Count(0) != 0 {
-		t.Errorf("diagnostics survived the replay:\n%s", sr.Diagnostics.RenderString())
+	if n := len(tvDiagnostics(sr.Report)); n == 0 {
+		t.Errorf("refutation left no tv diagnostic; got:\n%s", sr.Diagnostics.RenderString())
 	}
-	if sr.Validated != sr.Merges {
-		t.Errorf("validated=%d != merges=%d", sr.Validated, sr.Merges)
+	if n := sr.Diagnostics.Count(0) - len(tvDiagnostics(sr.Report)); n != 0 {
+		t.Errorf("%d diagnostics besides the refutation:\n%s", n, sr.Diagnostics.RenderString())
 	}
-	// The blacklisted pair appears as an unattempted outcome.
-	unattempted := 0
-	for _, p := range sr.Pairs {
-		if !p.Attempted && p.B != "" {
-			unattempted++
+	if sr.Validated != sr.Merges || sr.Merges == 0 {
+		t.Errorf("validated=%d merges=%d, want equal and nonzero", sr.Validated, sr.Merges)
+	}
+	for _, d := range drivers {
+		if got := runDriver(t, linked, d); got != want[d] {
+			t.Errorf("%s = %d after merging, want %d", d, got, want[d])
 		}
-	}
-	if unattempted == 0 {
-		t.Error("blacklisted pair not recorded in the final report")
 	}
 }
 

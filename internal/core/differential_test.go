@@ -75,7 +75,7 @@ func checkSame(t *testing.T, refM, workM *ir.Module, orig *ir.Function, res *mer
 	oargs := mkArgs(worig)
 	margs := make([]interp.Val, len(res.Merged.Params))
 	margs[0] = interp.IntVal(workM.Ctx.I1, boolToI(id))
-	pm := res.ParamMapForTest(id)
+	pm := res.ParamMap(id)
 	for mi := 1; mi < len(res.Merged.Params); mi++ {
 		pt := res.Merged.Params[mi].Ty
 		if oi, ok := pm[mi]; ok {

@@ -242,6 +242,11 @@ type Report struct {
 	Times                 StageTimes
 	Pairs                 []PairOutcome
 
+	// Refuted counts profitable merges the translation validator
+	// disproved (CheckValidate only). Each was discarded, not
+	// committed, and left its `tv` diagnostic.
+	Refuted int
+
 	// Threshold/Bands/K record the effective parameters (interesting
 	// under F3MAdaptive).
 	Threshold float64
@@ -301,11 +306,6 @@ func withCallIndex(m *ir.Module, cfg Config) Config {
 	if cfg.MergeOpts.Index == nil {
 		cfg.MergeOpts.Index = merge.NewCallIndex(m)
 	}
-	// The translation validator compares every commit against the
-	// pre-merge bodies, which only exist if Commit snapshots them.
-	if cfg.Check >= CheckValidate {
-		cfg.MergeOpts.SnapshotOriginals = true
-	}
 	return cfg
 }
 
@@ -344,7 +344,10 @@ func liveInModule(m *ir.Module, f *ir.Function) bool {
 // attemptMerge runs align+codegen+profitability for one ranked pair and
 // commits on success, updating the report stages, the funnel counters
 // and the attempt span (a child of parent, which is nil when tracing
-// is off). It reports whether the pair was committed. Unexpected merge
+// is off). Under CheckValidate a profitable merge is committed only
+// once the translation validator has proven it; a refuted one is
+// discarded like an unprofitable one, and its diagnostic stays in the
+// engine. It reports whether the pair was committed. Unexpected merge
 // errors (anything but ErrIncompatible) are returned to the caller
 // rather than panicking, so Run surfaces them through its error result.
 func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, eng *analysis.Engine, rankDur time.Duration, sim float64, parent *obs.Span) (bool, error) {
@@ -395,47 +398,52 @@ func attemptMerge(m *ir.Module, fa, fb *ir.Function, cfg Config, rep *Report, en
 		mx.Histogram("align.cfg.block_moves", blockMoveBounds).Observe(float64(res.BlockMoves))
 		mx.Histogram("align.cfg.score", decileBounds).Observe(res.AlignScore)
 	}
-	if res.Profitable {
-		// Re-validate before committing: if anything consumed an
-		// operand between alignment and commit (a misbehaving merge
-		// hook, a seeded fault), committing would rewrite call sites of
-		// a function no longer in the module. Discard instead.
-		if !liveInModule(m, fa) || !liveInModule(m, fb) {
-			merge.Discard(m, res)
-			rep.Times.RankFail += rankDur
-			rep.Times.AlignFail += res.AlignDur
-			rep.Times.CodegenFail += res.CodegenDur
-			rep.Pairs = append(rep.Pairs, outcome)
-			mx.Counter("merge.stale_commit").Inc()
-			sp.SetAttr("outcome", "stale-commit")
-			return false, nil
-		}
-		info := merge.Commit(m, res)
-		if eng != nil {
-			eng.AuditCommit(m, info)
-		}
-		rep.Merges++
-		rep.Times.RankSuccess += rankDur
-		rep.Times.AlignSuccess += res.AlignDur
-		rep.Times.CodegenSuccess += res.CodegenDur
-		outcome.Profitable = true
-		outcome.Saving = res.SizeSaving()
+	// discard drops the merged function and charges the attempt to the
+	// failure buckets, counting it under counter. outcomeAttr is typed
+	// any so the string constants callers pass need no allocation to
+	// box, even with tracing off.
+	discard := func(counter string, outcomeAttr any) (bool, error) {
+		merge.Discard(m, res)
+		rep.Times.RankFail += rankDur
+		rep.Times.AlignFail += res.AlignDur
+		rep.Times.CodegenFail += res.CodegenDur
 		rep.Pairs = append(rep.Pairs, outcome)
-		mx.Counter(obs.FunnelProfitable).Inc()
-		mx.Counter(obs.FunnelCommitted).Inc()
-		mx.Histogram("merge.saving", savingBounds).Observe(float64(outcome.Saving))
-		sp.SetAttr("outcome", "committed")
-		sp.SetAttr("saving", outcome.Saving)
-		return true, nil
+		mx.Counter(counter).Inc()
+		sp.SetAttr("outcome", outcomeAttr)
+		return false, nil
 	}
-	merge.Discard(m, res)
-	rep.Times.RankFail += rankDur
-	rep.Times.AlignFail += res.AlignDur
-	rep.Times.CodegenFail += res.CodegenDur
+	if !res.Profitable {
+		return discard("merge.unprofitable", "unprofitable")
+	}
+	// Re-validate before committing: if anything consumed an operand
+	// between alignment and commit (a misbehaving merge hook, a seeded
+	// fault), committing would rewrite call sites of a function no
+	// longer in the module. Discard instead.
+	if !liveInModule(m, fa) || !liveInModule(m, fb) {
+		return discard("merge.stale_commit", "stale-commit")
+	}
+	if cfg.Check >= CheckValidate && len(eng.ValidateMerge(m, res)) > 0 {
+		rep.Refuted++
+		mx.Counter(obs.FunnelProfitable).Inc()
+		return discard("merge.refuted", "refuted")
+	}
+	info := merge.Commit(m, res)
+	if eng != nil {
+		eng.AuditCommit(m, info)
+	}
+	rep.Merges++
+	rep.Times.RankSuccess += rankDur
+	rep.Times.AlignSuccess += res.AlignDur
+	rep.Times.CodegenSuccess += res.CodegenDur
+	outcome.Profitable = true
+	outcome.Saving = res.SizeSaving()
 	rep.Pairs = append(rep.Pairs, outcome)
-	mx.Counter("merge.unprofitable").Inc()
-	sp.SetAttr("outcome", "unprofitable")
-	return false, nil
+	mx.Counter(obs.FunnelProfitable).Inc()
+	mx.Counter(obs.FunnelCommitted).Inc()
+	mx.Histogram("merge.saving", savingBounds).Observe(float64(outcome.Saving))
+	sp.SetAttr("outcome", "committed")
+	sp.SetAttr("saving", outcome.Saving)
+	return true, nil
 }
 
 // publishRunMetrics records the run-level results into the registry

@@ -395,21 +395,3 @@ func (m *Module) NumInstrs() int {
 	}
 	return n
 }
-
-// ReplaceAllCalls rewrites every direct call or invoke of old anywhere
-// in the module using the rewrite callback, which must edit the
-// instruction in place. It returns the number of rewritten sites.
-func (m *Module) ReplaceAllCalls(old *Function, rewrite func(*Instr)) int {
-	n := 0
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if (in.Op == OpCall || in.Op == OpInvoke) && in.Operands[0] == Value(old) {
-					rewrite(in)
-					n++
-				}
-			}
-		}
-	}
-	return n
-}

@@ -397,29 +397,6 @@ func TestCloneFunc(t *testing.T) {
 	}
 }
 
-func TestReplaceAllCalls(t *testing.T) {
-	src := `
-define i32 @callee(i32 %x) {
-entry:
-  ret i32 %x
-}
-define i32 @caller(i32 %x) {
-entry:
-  %a = call i32 @callee(i32 %x)
-  %b = call i32 @callee(i32 %a)
-  ret i32 %b
-}`
-	m := MustParseModule(src)
-	callee := m.Func("callee")
-	caller := m.Func("caller")
-	n := m.ReplaceAllCalls(callee, func(in *Instr) {
-		in.Operands[0] = caller
-	})
-	if n != 2 {
-		t.Fatalf("rewrote %d call sites, want 2", n)
-	}
-}
-
 func TestSuccessorsAndPreds(t *testing.T) {
 	m, f := buildAbs(t)
 	_ = m

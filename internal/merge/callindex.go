@@ -91,12 +91,10 @@ func (ci *CallIndex) HasNonCallUses(f *ir.Function) bool { return ci.nonCall[f] 
 
 // rewriteCalls applies rewrite to every call site of old and re-indexes
 // each rewritten instruction (the callee operand changes).
-func (ci *CallIndex) rewriteCalls(old *ir.Function, rewrite func(*ir.Instr)) int {
-	sites := ci.CallSites(old)
-	for _, in := range sites {
+func (ci *CallIndex) rewriteCalls(old *ir.Function, rewrite func(*ir.Instr)) {
+	for _, in := range ci.CallSites(old) {
 		ci.removeInstr(in)
 		rewrite(in)
 		ci.addInstr(in)
 	}
-	return len(sites)
 }

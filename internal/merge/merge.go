@@ -41,18 +41,13 @@ type Options struct {
 	MinBlockRatio float64
 
 	// Index, when set, supplies live call-site and address-taken
-	// information and lets Commit rewrite call sites without walking
-	// the whole module (essential for large-module runs). Profitability
-	// then charges the argument growth Commit would cause at the
-	// direct call sites it counts (the function identifier plus undef
-	// placeholders for unshared parameters).
+	// information, and Commit keeps it current, so a run of commits
+	// never walks the whole module (essential for large-module runs).
+	// Profitability then charges the argument growth Commit would cause
+	// at the direct call sites it counts (the function identifier plus
+	// undef placeholders for unshared parameters). Without one, Commit
+	// builds a throwaway index with one module walk.
 	Index *CallIndex
-
-	// SnapshotOriginals makes Commit clone the pre-merge bodies of both
-	// originals into CommitSide.Snapshot before rewriting anything. The
-	// translation validator needs the original semantics to compare
-	// against after the originals have been thunked or deleted.
-	SnapshotOriginals bool
 
 	// CFGAlign switches block pairing from the greedy sequence matcher
 	// to the CFG-aware canonical-order matcher (align.MatchBlocksCFG),
@@ -115,9 +110,6 @@ type Result struct {
 
 	// idx is the optional live call index Commit maintains.
 	idx *CallIndex
-
-	// snapshot carries Options.SnapshotOriginals to Commit.
-	snapshot bool
 }
 
 // SizeSaving is the size-model benefit of committing (positive =
@@ -202,7 +194,6 @@ func Pair(m *ir.Module, fa, fb *ir.Function, opts Options) (*Result, error) {
 		res.CallOverhead = opts.Index.NumCallSites(fa)*extraA + opts.Index.NumCallSites(fb)*extraB
 	}
 	res.idx = opts.Index
-	res.snapshot = opts.SnapshotOriginals
 	res.Profitable = res.CostMerged+res.CallOverhead < res.CostA+res.CostB
 	return res, nil
 }
@@ -261,15 +252,21 @@ type CommitSide struct {
 	// (address-taken functions must).
 	Thunked bool
 
-	// RewrittenCalls counts the direct call sites redirected to Merged.
-	RewrittenCalls int
+	// Calls lists the direct call sites redirected from this original
+	// to Merged, including recursive ones inside Merged itself, in no
+	// particular order.
+	Calls []RewrittenCall
+}
 
-	// Snapshot is a clone of the original body taken before the commit
-	// rewrote anything, or nil unless Options.SnapshotOriginals was set.
-	// It lives in a detached scratch module (sharing the type context)
-	// so pipeline stages walking the real module never observe it; its
-	// call operands still reference the pre-commit function objects.
-	Snapshot *ir.Function
+// RewrittenCall is one call or invoke Commit redirected to the merged
+// function.
+type RewrittenCall struct {
+	// Call is the rewritten instruction.
+	Call *ir.Instr
+
+	// Args are the arguments the call passed to the original before the
+	// rewrite.
+	Args []ir.Value
 }
 
 // Commit replaces fa and fb with the merged function: direct calls are
@@ -279,27 +276,21 @@ type CommitSide struct {
 // post-commit auditing.
 func Commit(m *ir.Module, r *Result) *CommitInfo {
 	g := r.Merged
-	if r.idx != nil {
-		r.idx.AddFunction(g)
+	idx := r.idx
+	if idx == nil {
+		idx = NewCallIndex(m) // g is already in m, so this indexes it too
+	} else {
+		idx.AddFunction(g)
 	}
 	info := &CommitInfo{Merged: g}
-	var snapA, snapB *ir.Function
-	if r.snapshot {
-		// Clone before any rewriting: the snapshots must capture the
-		// pre-commit semantics, and they live outside the real module so
-		// no pipeline stage ever walks into them.
-		scratch := ir.NewModuleInCtx("tv.ref", m.Ctx)
-		snapA = ir.CloneFunc(scratch, r.fa, r.fa.Name())
-		snapB = ir.CloneFunc(scratch, r.fb, r.fb.Name())
-	}
 	seenCaller := make(map[*ir.Function]bool)
 	rewrite := func(orig *ir.Function, id bool) CommitSide {
-		paramMap := r.paramMapB
-		if id {
-			paramMap = r.paramMapA
+		paramMap := r.ParamMap(id)
+		side := CommitSide{
+			Name: orig.Name(), Fn: orig, Sig: orig.Sig, ParamMap: paramMap,
+			Calls: make([]RewrittenCall, 0, idx.NumCallSites(orig)),
 		}
-		side := CommitSide{Name: orig.Name(), Fn: orig, Sig: orig.Sig, ParamMap: paramMap}
-		rewriteCall := func(call *ir.Instr) {
+		idx.rewriteCalls(orig, func(call *ir.Instr) {
 			if caller := call.Parent.Parent; !seenCaller[caller] {
 				seenCaller[caller] = true
 				info.Callers = append(info.Callers, caller)
@@ -315,24 +306,15 @@ func Commit(m *ir.Module, r *Result) *CommitInfo {
 				}
 			}
 			rest := call.Operands[1+len(args):] // invoke successors, if any
+			// A fresh operand slice: args keeps the pre-rewrite values.
 			call.Operands = append(append([]ir.Value{g}, newArgs...), rest...)
-		}
-		if r.idx != nil {
-			side.RewrittenCalls = r.idx.rewriteCalls(orig, rewriteCall)
-			addrTaken := r.idx.HasNonCallUses(orig)
-			r.idx.RemoveFunction(orig)
-			if addrTaken {
-				makeThunk(m, orig, g, id, paramMap)
-				r.idx.AddFunction(orig)
-				side.Thunked = true
-			} else {
-				m.RemoveFunc(orig)
-			}
-			return side
-		}
-		side.RewrittenCalls = m.ReplaceAllCalls(orig, rewriteCall)
-		if hasNonCallUses(m, orig) {
+			side.Calls = append(side.Calls, RewrittenCall{Call: call, Args: args})
+		})
+		addrTaken := idx.HasNonCallUses(orig)
+		idx.RemoveFunction(orig)
+		if addrTaken {
 			makeThunk(m, orig, g, id, paramMap)
+			idx.AddFunction(orig)
 			side.Thunked = true
 		} else {
 			m.RemoveFunc(orig)
@@ -341,29 +323,7 @@ func Commit(m *ir.Module, r *Result) *CommitInfo {
 	}
 	info.A = rewrite(r.fa, true)
 	info.B = rewrite(r.fb, false)
-	info.A.Snapshot = snapA
-	info.B.Snapshot = snapB
 	return info
-}
-
-// hasNonCallUses reports whether f appears as an operand anywhere other
-// than the callee slot of a call/invoke.
-func hasNonCallUses(m *ir.Module, f *ir.Function) bool {
-	found := false
-	for _, fn := range m.Funcs {
-		fn.Instructions(func(in *ir.Instr) {
-			for i, op := range in.Operands {
-				if op != ir.Value(f) {
-					continue
-				}
-				isCallee := (in.Op == ir.OpCall || in.Op == ir.OpInvoke) && i == 0
-				if !isCallee {
-					found = true
-				}
-			}
-		})
-	}
-	return found
 }
 
 // makeThunk rewrites orig's body into a tail call of the merged
@@ -397,10 +357,15 @@ const (
 	sideB
 )
 
-// ParamMapForTest exposes the merged-parameter provenance for
-// differential tests.
-func (r *Result) ParamMapForTest(first bool) map[int]int {
-	if first {
+// Originals returns the two functions the merge folds together; a is
+// the side selected by a true function identifier. Until Commit they
+// are untouched module members.
+func (r *Result) Originals() (a, b *ir.Function) { return r.fa, r.fb }
+
+// ParamMap maps merged-parameter index (>= 1; 0 is the function
+// identifier) to the original argument index on side A (sideA) or B.
+func (r *Result) ParamMap(sideA bool) map[int]int {
+	if sideA {
 		return r.paramMapA
 	}
 	return r.paramMapB

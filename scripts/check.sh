@@ -62,8 +62,8 @@ go run ./cmd/f3m -check=validate -gen 200 -seed 5 >/dev/null
 echo "== f3m summary/merge cross-module gate"
 # The cross-module gate: summarize the two checked-in corpus modules,
 # merge them optimistically from the summaries under the translation
-# validator, and require zero misspeculated commits on clean inputs and
-# at least one cross-module merge. (Summary merging starts no worker
+# validator, and require zero refuted merges on clean inputs and at
+# least one cross-module merge. (Summary merging starts no worker
 # pool, so there is no sequential-vs-parallel pair to compare.)
 # Summaries are regenerated into a temp dir so the gate also
 # proves `f3m summary` output still drives the merge (the golden test
@@ -75,7 +75,7 @@ go run ./cmd/f3m summary -source xmod_b.ir -o "$XMOD/xmod_b.sum" cmd/f3m/testdat
 cp cmd/f3m/testdata/xmod_a.ir cmd/f3m/testdata/xmod_b.ir "$XMOD/"
 go run ./cmd/f3m merge -summaries -check=validate -v \
     "$XMOD/xmod_a.sum" "$XMOD/xmod_b.sum" >"$XMOD/report.txt"
-grep -q "0 misspeculated" "$XMOD/report.txt"
+grep -q "0 refuted" "$XMOD/report.txt"
 grep -q "cross-module)" "$XMOD/report.txt"
 
 echo "== f3m wat front-end gate"
@@ -134,8 +134,13 @@ if [ "${BENCH_GATE:-}" = "1" ]; then
     # Opt-in: runs the merge-stage benchmark and fails on any allocs/op
     # regression against the checked-in BENCH_budget.json ceilings. Off
     # by default because a benchmark run costs minutes; ns/op is NOT
-    # gated (too noisy on shared hosts), only allocation counts.
-    scripts/bench.sh "$(mktemp)"
+    # gated (too noisy on shared hosts), only allocation counts. All
+    # three output files go to a temp dir, so the gate never rewrites
+    # the checked-in BENCH_*.json snapshots.
+    BENCH="$(mktemp -d)"
+    trap 'rm -rf "$XMOD" "$WAT" "$CFG" "$BENCH"' EXIT
+    SUMOUT="$BENCH/summary.json" ALIGNOUT="$BENCH/align.json" \
+        scripts/bench.sh "$BENCH/merge.json"
 fi
 
 echo "== fuzz smoke (FUZZTIME=${FUZZTIME:-5s} per target)"
