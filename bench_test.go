@@ -141,6 +141,24 @@ func BenchmarkRanking(b *testing.B) {
 			}
 		})
 
+		// Ranking alone: the Best loop over an index built once, so
+		// ns/op is not diluted by fingerprinting and inserts.
+		b.Run(fmt.Sprintf("F3M-LSH-rank/n=%d", n), func(b *testing.B) {
+			cfg := (&fingerprint.Config{K: 200, ShingleSize: 2, Seed: 0xF3}).Prepare()
+			ix := lsh.NewIndex(lsh.DefaultParams())
+			sigs := make([]fingerprint.MinHash, len(pop.Seqs))
+			for i, seq := range pop.Seqs {
+				sigs[i] = cfg.New(seq)
+			}
+			ix.BatchInsert(0, sigs)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				for i := range sigs {
+					ix.Best(i, sigs[i], 0)
+				}
+			}
+		})
+
 		b.Run(fmt.Sprintf("F3M-adaptive/n=%d", n), func(b *testing.B) {
 			t, params, k := lsh.AdaptiveParams(n)
 			cfg := (&fingerprint.Config{K: k, ShingleSize: 2, Seed: 0xF3}).Prepare()

@@ -153,12 +153,28 @@ func (c *Config) New(seq []Encoded) MinHash {
 // sets as the fraction of matching lanes. The estimate carries
 // O(1/sqrt(k)) error.
 func (m MinHash) Jaccard(o MinHash) float64 {
-	if len(m) != len(o) || len(m) == 0 {
+	return Similarity(m.Matches(o), len(m))
+}
+
+// Similarity is the Jaccard estimate of a k-lane fingerprint with the
+// given number of matching lanes (0 when k is 0).
+func Similarity(matches, k int) float64 {
+	if k == 0 {
 		return 0
 	}
-	// Four-way unrolled equality count: this comparison is the inner
-	// loop of candidate ranking (one call per bucket candidate), and the
-	// explicit slicing drops the per-lane bounds checks.
+	return float64(matches) / float64(k)
+}
+
+// Matches counts the lanes on which m and o hold the same value: the
+// numerator of Jaccard. Fingerprints of different lengths share no
+// lanes.
+func (m MinHash) Matches(o MinHash) int {
+	if len(m) != len(o) {
+		return 0
+	}
+	// Four-way unrolled equality count: this is the full scan of
+	// candidate ranking, and the explicit slicing drops the per-lane
+	// bounds checks.
 	eq := 0
 	i := 0
 	for ; i+4 <= len(m); i += 4 {
@@ -181,7 +197,7 @@ func (m MinHash) Jaccard(o MinHash) float64 {
 			eq++
 		}
 	}
-	return float64(eq) / float64(len(m))
+	return eq
 }
 
 // ExactJaccard computes the true Jaccard index of two shingle sets; it

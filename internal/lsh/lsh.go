@@ -20,6 +20,7 @@ package lsh
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"f3m/internal/fingerprint"
@@ -79,21 +80,45 @@ type Index struct {
 	// sigsDense keeps the inserted fingerprints for candidate scoring,
 	// indexed by id for the dense ids the pipeline uses; out-of-range
 	// ids fall back to sigsSparse. A nil entry means "not inserted".
-	// Candidate ranking reads one fingerprint per comparison, so the
-	// dense path avoids a map probe in the hottest loop of the search.
+	// Candidate ranking reads a fingerprint for every candidate it fully
+	// scans, so the dense path avoids a map probe in the hottest loop of
+	// the search.
 	sigsDense  []fingerprint.MinHash
 	sigsSparse map[int32]fingerprint.MinHash
 
+	// sketches holds a b-bit minwise sketch (Li and König, 2010) with
+	// 8 bits per lane for every dense id: the low byte of each lane,
+	// 8 lanes per word, so id's row is
+	// sketches[id*stride:(id+1)*stride] with stride = ceil(k/8). k is
+	// the length of the first non-empty fingerprint inserted. Equal
+	// lanes have equal low bytes, so counting equal bytes bounds
+	// Matches from above while reading an eighth of the memory;
+	// BestWhere uses the bound to skip the full lane scan of candidates
+	// that cannot win. A fingerprint of another length gets a zero row:
+	// it shares no lanes with a k-lane query, so any bound holds for it.
+	// Once k is known, len(sketches) == len(sigsDense)*stride.
+	sketches  []uint64
+	k, stride int
+
+	// fullScans counts the candidates BestWhere scored by the full lane
+	// scan because the sketch bound could not rule them out. It stays
+	// out of IndexStats so that reports do not depend on the filter.
+	fullScans int64
+
 	// stamp/gen implement allocation-free per-query dedup for ids in
-	// [0, len(stamp)); other ids fall back to a map.
-	stamp []uint32
-	gen   uint32
+	// [0, len(stamp)); negative ids fall back to the sparseStamp map.
+	stamp       []uint32
+	sparseStamp map[int32]uint32
+	gen         uint32
 
 	// hashScratch is the reusable band-hash buffer of the sequential
 	// entry points (Insert, Remove, BestWhere). PeekCandidates is
 	// documented safe to run concurrently with itself, so it must not
 	// touch this and hashes into a per-call buffer instead.
 	hashScratch []uint32
+
+	// querySketch is BestWhere's scratch row for the query's sketch.
+	querySketch []uint64
 
 	// Stats accumulated since construction.
 	stats IndexStats
@@ -105,7 +130,7 @@ type IndexStats struct {
 	Inserted        int
 	BucketsUsed     int
 	MaxBucketLoad   int
-	Comparisons     int64 // fingerprint comparisons performed by Query
+	Comparisons     int64 // candidates scored, by sketch bound or lane scan
 	CapSkips        int64 // candidates skipped due to the bucket cap
 	CandidatesFound int64
 }
@@ -163,17 +188,73 @@ func (ix *Index) sig(id int32) fingerprint.MinHash {
 	return ix.sigsSparse[id]
 }
 
-// setSig records mh under id, growing the dense table for small
-// non-negative ids and falling back to the sparse map otherwise.
+// setSig records mh under id, growing the dense table and its sketch
+// rows for non-negative ids and falling back to the sparse map
+// otherwise.
 func (ix *Index) setSig(id int32, mh fingerprint.MinHash) {
-	if id >= 0 {
-		for int(id) >= len(ix.sigsDense) {
-			ix.sigsDense = append(ix.sigsDense, nil)
-		}
-		ix.sigsDense[id] = mh
+	ix.fixStride(mh)
+	if id < 0 {
+		ix.sigsSparse[id] = mh
 		return
 	}
-	ix.sigsSparse[id] = mh
+	for int(id) >= len(ix.sigsDense) {
+		ix.sigsDense = append(ix.sigsDense, nil)
+	}
+	ix.sigsDense[id] = mh
+	if ix.stride == 0 {
+		return
+	}
+	if n := len(ix.sigsDense) * ix.stride; n > len(ix.sketches) {
+		ix.sketches = append(ix.sketches, make([]uint64, n-len(ix.sketches))...)
+	}
+	row := ix.sketches[int(id)*ix.stride : (int(id)+1)*ix.stride]
+	if len(mh) == ix.k {
+		packSketch(row, mh)
+	} else {
+		clear(row)
+	}
+}
+
+// fixStride takes k and the sketch stride from mh if it is the first
+// non-empty fingerprint, giving the dense ids inserted before it zero
+// rows.
+func (ix *Index) fixStride(mh fingerprint.MinHash) {
+	if ix.stride == 0 && len(mh) > 0 {
+		ix.k, ix.stride = len(mh), (len(mh)+7)/8
+		ix.sketches = make([]uint64, len(ix.sigsDense)*ix.stride)
+		ix.querySketch = make([]uint64, ix.stride)
+	}
+}
+
+// packSketch writes the low byte of each lane of mh into row, 8 lanes
+// per word, lane i in byte i%8 of word i/8. Pad bytes past the last
+// lane are zero.
+func packSketch(row []uint64, mh fingerprint.MinHash) {
+	for w := range row {
+		var x uint64
+		for j, v := range mh[w*8 : min(w*8+8, len(mh))] {
+			x |= uint64(uint8(v)) << (8 * j)
+		}
+		row[w] = x
+	}
+}
+
+// sketchBound returns an upper bound on the matching lanes of two
+// k-lane fingerprints from their sketch rows q and r. Each word counts
+// its equal bytes with a SWAR zero-byte test on q^r: a byte of
+// ((x&0x7f..)+0x7f..)|x has its high bit set exactly when the byte of x
+// is non-zero. Equal 32-bit lanes have equal low bytes, so the count of
+// equal bytes, less the pad bytes (always equal), is at least Matches.
+func sketchBound(q, r []uint64, k int) int {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	r = r[:len(q)]
+	differ := 0
+	for i, a := range q {
+		x := a ^ r[i]
+		differ += bits.OnesCount64((((x & lo7) + lo7) | x) & hi)
+	}
+	// Equal bytes are 8*len(q)-differ, of which 8*len(q)-k are padding.
+	return k - differ
 }
 
 // Insert registers fingerprint mh under id.
@@ -206,10 +287,21 @@ func (ix *Index) BatchInsert(base int, sigs []fingerprint.MinHash) {
 	if len(sigs) == 0 {
 		return
 	}
-	if base >= 0 && base+len(sigs) > len(ix.sigsDense) && cap(ix.sigsDense) < base+len(sigs) {
-		grown := make([]fingerprint.MinHash, len(ix.sigsDense), base+len(sigs))
-		copy(grown, ix.sigsDense)
-		ix.sigsDense = grown
+	if n := base + len(sigs); base >= 0 && n > len(ix.sigsDense) {
+		if cap(ix.sigsDense) < n {
+			grown := make([]fingerprint.MinHash, len(ix.sigsDense), n)
+			copy(grown, ix.sigsDense)
+			ix.sigsDense = grown
+		}
+		// The batch's sketch rows, carved in one exact-size block.
+		for i := 0; i < len(sigs) && ix.stride == 0; i++ {
+			ix.fixStride(sigs[i])
+		}
+		if ix.stride > 0 && cap(ix.sketches) < n*ix.stride {
+			grown := make([]uint64, len(ix.sketches), n*ix.stride)
+			copy(grown, ix.sketches)
+			ix.sketches = grown
+		}
 	}
 
 	// Band hashes, all carved from one flat backing array.
@@ -347,7 +439,7 @@ func (ix *Index) Query(id int, mh fingerprint.MinHash, minSim float64) []Candida
 // Because it mutates nothing, any number of PeekCandidates calls may
 // run concurrently with each other and with the (externally
 // serialized) authoritative Query/BestWhere calls, which write only
-// the stats and stamp state that Peek never reads. Callers must still
+// the stats, stamp and scratch state that Peek never reads. Callers must still
 // prevent concurrent Insert/Remove/BatchInsert — the serving store
 // holds its shard's write lock across those.
 //
@@ -405,14 +497,27 @@ func (ix *Index) Best(id int, mh fingerprint.MinHash, minSim float64) (Candidate
 // full scored candidate list, which is what makes per-function ranking
 // cheap even when buckets are crowded. Candidates are walked in band
 // order with Query's dedup and cap accounting; only accepted ones are
-// compared (and counted in Comparisons), and the first best wins ties
-// by the lowest id. There is no early exit on a perfect match: the
+// scored (and counted in Comparisons), and the first best wins ties by
+// the lowest id. There is no early exit on a perfect match: the
 // accounting covers every candidate the caps admit.
+//
+// A candidate is scored by its sketch bound first (see sketches) and
+// gets the full lane scan only if the bound leaves it a chance: the
+// bound must reach the fewest matches that pass minSim and the best
+// count so far, and on a tie with the best the candidate must have
+// the lower id. The answer is the one a full scan of every candidate
+// gives. Sparse ids, and queries whose length is not k, take the full
+// scan.
 func (ix *Index) BestWhere(id int, mh fingerprint.MinHash, minSim float64, accept func(int) bool) (Candidate, bool) {
 	cap_ := ix.params.bucketCap()
 	ix.beginQuery(id)
-	best := Candidate{Similarity: -1}
-	found := false
+	minCount := minMatches(minSim, len(mh))
+	var q []uint64 // the query's sketch; nil when it has none
+	if ix.k > 0 && len(mh) == ix.k {
+		q = ix.querySketch
+		packSketch(q, mh)
+	}
+	bestID, bestCount := 0, -1
 	for band, h := range ix.bandHashes(mh) {
 		lst := ix.buckets[band][h]
 		checked := 0
@@ -430,29 +535,48 @@ func (ix *Index) BestWhere(id int, mh fingerprint.MinHash, minSim float64, accep
 				continue
 			}
 			ix.stats.Comparisons++
-			s := mh.Jaccard(ix.sig(cand))
-			if s < minSim {
+			if q != nil && cand >= 0 {
+				off := int(cand) * len(q)
+				b := sketchBound(q, ix.sketches[off:off+len(q)], ix.k)
+				if b < minCount || b < bestCount || (b == bestCount && int(cand) > bestID) {
+					continue
+				}
+			}
+			ix.fullScans++
+			m := mh.Matches(ix.sig(cand))
+			if m < minCount {
 				continue
 			}
-			if !found || s > best.Similarity || (s == best.Similarity && int(cand) < best.ID) {
-				best = Candidate{ID: int(cand), Similarity: s}
-				found = true
+			if m > bestCount || (m == bestCount && int(cand) < bestID) {
+				bestID, bestCount = int(cand), m
 			}
 		}
 	}
-	if found {
-		ix.stats.CandidatesFound++
+	if bestCount < 0 {
+		return Candidate{}, false
 	}
-	return best, found
+	ix.stats.CandidatesFound++
+	return Candidate{ID: bestID, Similarity: fingerprint.Similarity(bestCount, len(mh))}, true
+}
+
+// minMatches returns the fewest matching lanes, out of n, whose
+// similarity reaches minSim, or n+1 when no count does (minSim above 1,
+// or NaN). It evaluates the expression Jaccard uses, so a count passes
+// exactly when its Jaccard value does.
+func minMatches(minSim float64, n int) int {
+	c := 0
+	for c <= n && !(fingerprint.Similarity(c, n) >= minSim) {
+		c++
+	}
+	return c
 }
 
 // beginQuery resets the per-query dedup state and marks id itself.
 func (ix *Index) beginQuery(id int) {
 	ix.gen++
 	if ix.gen == 0 { // wrapped: clear stamps
-		for i := range ix.stamp {
-			ix.stamp[i] = 0
-		}
+		clear(ix.stamp)
+		clear(ix.sparseStamp)
 		ix.gen = 1
 	}
 	ix.mark(int32(id))
@@ -461,6 +585,9 @@ func (ix *Index) beginQuery(id int) {
 func (ix *Index) seen(id int32) bool {
 	// Lookups never grow the stamp slice: an id beyond it has not been
 	// marked this query (only mark allocates).
+	if id < 0 {
+		return ix.sparseStamp[id] == ix.gen
+	}
 	if int(id) < len(ix.stamp) {
 		return ix.stamp[id] == ix.gen
 	}
@@ -483,6 +610,13 @@ func (ix *Index) cappedSkips(rest []int32) int64 {
 }
 
 func (ix *Index) mark(id int32) {
+	if id < 0 {
+		if ix.sparseStamp == nil {
+			ix.sparseStamp = make(map[int32]uint32)
+		}
+		ix.sparseStamp[id] = ix.gen
+		return
+	}
 	if int(id) >= len(ix.stamp) {
 		ix.growStamp(int(id))
 	}

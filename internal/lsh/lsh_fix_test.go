@@ -132,7 +132,7 @@ func TestSeenDoesNotGrowStamp(t *testing.T) {
 
 // TestBatchInsertMatchesSequential: the batch build must leave the
 // index byte-identical to sequential insertion — bucket contents and
-// order, stats, and every query answer.
+// order, sketch rows, stats, and every query answer.
 func TestBatchInsertMatchesSequential(t *testing.T) {
 	cfg := fingerprint.DefaultConfig()
 	rng := rand.New(rand.NewSource(5))
@@ -166,6 +166,9 @@ func TestBatchInsertMatchesSequential(t *testing.T) {
 	}
 	if batch.stats != buildStats {
 		t.Fatalf("build stats %+v differ from sequential %+v", batch.stats, buildStats)
+	}
+	if batch.k != seq.k || batch.stride != seq.stride || !reflect.DeepEqual(seq.sketches, batch.sketches) {
+		t.Fatal("sketch rows differ from sequential build")
 	}
 	for i := range sigs {
 		if got := batch.Query(i, sigs[i], 0.2); !reflect.DeepEqual(got, answers[i]) {

@@ -319,7 +319,9 @@ func TestQueryProperties(t *testing.T) {
 // over a small alphabet into capped buckets, so dedup, cap skips and
 // rejected candidates all interleave; its final stats are pinned to
 // what the earlier three-pass query (candidate list, then Jaccard
-// scores, then fold) accumulated on the same calls.
+// scores, then fold) accumulated on the same calls. The low-byte-twin
+// and tie-heavy corpora stress the sketch bound where it is loosest and
+// where the tie rule decides.
 func TestBestWhereAgreesWithQuery(t *testing.T) {
 	type corpus struct {
 		name    string
@@ -356,6 +358,49 @@ func TestBestWhereAgreesWithQuery(t *testing.T) {
 			accepts: []func(int) bool{nil, func(id int) bool { return id%5 != 0 }},
 			stats: &IndexStats{Inserted: 400, BucketsUsed: 6225, MaxBucketLoad: 309,
 				Comparisons: 276512, CapSkips: 1493532, CandidatesFound: 800},
+		})
+	}
+
+	{
+		// Low-byte twins: each lane either equals the family's base lane
+		// or only shares its low byte, so the sketch bound is K for
+		// every pair and never skips on the threshold.
+		rng := rand.New(rand.NewSource(34))
+		cfg := fingerprint.DefaultConfig()
+		var sigs []fingerprint.MinHash
+		for fam := 0; fam < 6; fam++ {
+			base := cfg.New(randSeq(rng, 60, 40))
+			for v := 0; v < 25; v++ {
+				keep := rng.Float64()
+				twin := lowByteTwin(rng, base)
+				for l := range twin {
+					if rng.Float64() < keep {
+						twin[l] = base[l]
+					}
+				}
+				sigs = append(sigs, twin)
+			}
+		}
+		corpora = append(corpora, corpus{
+			name: "low-byte-twins", params: Params{Rows: 2, Bands: 100, BucketCap: 20}, sigs: sigs, minSim: 0.2,
+			accepts: []func(int) bool{nil, func(id int) bool { return id%3 != 1 }},
+		})
+	}
+	{
+		// Tie-heavy, K=60 (4 pad bytes per sketch row): lanes take six
+		// values over three low bytes, so counts tie constantly and the
+		// lowest-id rule decides most answers.
+		rng := rand.New(rand.NewSource(45))
+		sigs := make([]fingerprint.MinHash, 150)
+		for i := range sigs {
+			sigs[i] = make(fingerprint.MinHash, 60)
+			for l := range sigs[i] {
+				sigs[i][l] = uint32(rng.Intn(3)) | uint32(rng.Intn(2))<<8
+			}
+		}
+		corpora = append(corpora, corpus{
+			name: "ties-k60", params: Params{Rows: 2, Bands: 30, BucketCap: 12}, sigs: sigs, minSim: 0.3,
+			accepts: []func(int) bool{nil, func(id int) bool { return id%4 != 0 }},
 		})
 	}
 

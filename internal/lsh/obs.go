@@ -16,7 +16,8 @@ var (
 //
 //	lsh.inserted          signatures inserted (counter)
 //	lsh.buckets_used      distinct non-empty buckets (counter)
-//	lsh.comparisons       fingerprint comparisons performed (counter)
+//	lsh.comparisons       candidates scored (by sketch bound or lane
+//	                      scan) (counter)
 //	lsh.bucket_cap_skips  candidates skipped by the bucket cap — the
 //	                      Fig. 16 observable (counter)
 //	lsh.candidates_found  candidates returned at/above threshold (counter)

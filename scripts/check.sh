@@ -153,6 +153,7 @@ go test -run '^$' -fuzz '^FuzzSplitLink$' -fuzztime "${FUZZTIME:-5s}" ./internal
 go test -run '^$' -fuzz '^FuzzMinicParser$' -fuzztime "${FUZZTIME:-5s}" ./internal/minic
 go test -run '^$' -fuzz '^FuzzFingerprintEncode$' -fuzztime "${FUZZTIME:-5s}" ./internal/fingerprint
 go test -run '^$' -fuzz '^FuzzWatParseRoundTrip$' -fuzztime "${FUZZTIME:-5s}" ./internal/wat
+go test -run '^$' -fuzz '^FuzzBestWhere$' -fuzztime "${FUZZTIME:-5s}" ./internal/lsh
 # These two seed with multi-kilobyte files, which the default minimizer
 # would spend the whole smoke budget shrinking.
 go test -run '^$' -fuzz '^FuzzSummaryDecode$' -fuzztime "${FUZZTIME:-5s}" -fuzzminimizetime 10x ./internal/analysis/summary
